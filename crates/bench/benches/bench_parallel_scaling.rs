@@ -1,20 +1,18 @@
-//! Parallel scaling benchmark: persistent mat-shard pool vs the legacy
-//! per-step `thread::scope` fan-out, plus chip-parallel executor
-//! dispatch.
+//! Parallel scaling benchmark: `Auto`'s memoized per-mat descent and
+//! the persistent mat-shard pool against the sequential walk, plus
+//! chip-parallel executor dispatch.
 //!
 //! **Mat level** (8/16/32/64/128 mats): batched extraction throughput
-//! under `Sequential` (inline walk), `SpawnPerStep(T)` (the retired
-//! default — a fresh thread scope per column-search step), and
-//! `Threads(T)` (the persistent pool; since PR 7 a whole bit-serial
-//! descent ships as *one* speculative broadcast→fold round trip).
-//! `T` is fixed at 4 so the protocols are compared at the same fan-out
-//! on any host. The sweep also reports the chip's *measured* Auto
-//! crossover next to the empirically observed one (the narrowest swept
-//! width where the pool beats sequential).
+//! under `Sequential` (every mat sensed at every step), `Auto` (each
+//! mat's speculative descent memoized across the batch on the calling
+//! thread — after a hit only the winner's mat re-descends) and
+//! `Threads(T)` (the same speculation on the persistent pool). `T` is
+//! fixed at 4 so the pool is compared at the same fan-out on any host.
 //!
-//! Every pool run is cross-checked against the Sequential hit stream —
-//! with `--assert-pool` the bench exits nonzero on any divergence or if
-//! pool_vs_spawn drops below 2.0 anywhere (the CI perf-smoke gate).
+//! Every run is cross-checked against the Sequential hit stream and
+//! counters. With `--assert-pool` the bench exits nonzero on any
+//! divergence, or if `Auto` is below 2× `Sequential` at 16 mats or more
+//! (the CI perf-smoke gate).
 //!
 //! **Chip level** (1/2/4 chips): full-device batched drain through the
 //! executor, whose multi-chip prefill dispatches independent chips on
@@ -25,13 +23,16 @@
 //!
 //! Prints a table; with `RIME_BENCH_JSON=<path>` writes a
 //! machine-readable snapshot (see `BENCH_parallel_scaling.json` at the
-//! repo root). Pass `--quick` for a CI-sized smoke run.
+//! repo root), with the host's core count. Pass `--quick` for a
+//! CI-sized smoke run.
 
 use rime_core::{RimeConfig, RimeDevice};
-use rime_memristive::{Chip, ChipGeometry, Direction, KeyFormat, ParallelPolicy};
+use rime_memristive::{
+    Chip, ChipGeometry, Direction, ExtractHit, KeyFormat, OpCounters, ParallelPolicy,
+};
 use std::time::{Duration, Instant};
 
-/// Fixed fan-out width for the spawn-vs-pool comparison.
+/// Fixed pool fan-out width.
 const FANOUT: usize = 4;
 
 /// Slots per mat = 4 arrays × rows.
@@ -86,15 +87,16 @@ struct MatResult {
     mats: u16,
     keys: u64,
     seq_kps: f64,
-    spawn_kps: f64,
+    auto_kps: f64,
     pool_kps: f64,
-    /// The pool's hit stream (slots + raw bits) matched Sequential's.
-    pool_matches_seq: bool,
+    /// `Auto`'s and the pool's hit streams (slots + raw bits) and
+    /// counters matched Sequential's.
+    matches_seq: bool,
 }
 
 impl MatResult {
-    fn pool_vs_spawn(&self) -> f64 {
-        self.pool_kps / self.spawn_kps
+    fn auto_vs_seq(&self) -> f64 {
+        self.auto_kps / self.seq_kps
     }
     fn pool_vs_seq(&self) -> f64 {
         self.pool_kps / self.seq_kps
@@ -104,31 +106,31 @@ impl MatResult {
 fn run_mat_config(mats: u16, rows: u32, batch_k: usize, reps: usize) -> MatResult {
     let mut kps = [0.0f64; 3];
     let mut keys = 0;
-    let mut hit_streams: Vec<Vec<rime_memristive::ExtractHit>> = Vec::new();
+    let mut observed: Vec<(Vec<ExtractHit>, OpCounters)> = Vec::new();
     let policies = [
         ParallelPolicy::Sequential,
-        ParallelPolicy::SpawnPerStep(FANOUT),
+        ParallelPolicy::Auto,
         ParallelPolicy::Threads(FANOUT),
     ];
     for (idx, policy) in policies.into_iter().enumerate() {
         let (chip, n) = loaded_chip(mats, rows, policy);
         keys = n;
-        let hits = std::cell::RefCell::new(Vec::new());
+        let run = std::cell::RefCell::new((Vec::new(), OpCounters::new()));
         let elapsed = best_of(reps, &chip, |chip| {
             chip.init_range(0, n, KeyFormat::UNSIGNED64).unwrap();
-            *hits.borrow_mut() =
-                std::hint::black_box(chip.extract_batch(Direction::Min, batch_k).unwrap());
+            let hits = std::hint::black_box(chip.extract_batch(Direction::Min, batch_k).unwrap());
+            *run.borrow_mut() = (hits, *chip.counters());
         });
-        hit_streams.push(hits.into_inner());
+        observed.push(run.into_inner());
         kps[idx] = keys_per_sec(batch_k as u64, elapsed);
     }
     MatResult {
         mats,
         keys,
         seq_kps: kps[0],
-        spawn_kps: kps[1],
+        auto_kps: kps[1],
         pool_kps: kps[2],
-        pool_matches_seq: hit_streams[2] == hit_streams[0],
+        matches_seq: observed[1] == observed[0] && observed[2] == observed[0],
     }
 }
 
@@ -171,16 +173,6 @@ fn run_chip_config(chips: u32, rows: u32, batch_k: usize, reps: usize) -> ChipRe
     }
 }
 
-/// The narrowest swept width where the pool actually beat sequential
-/// (`None` if it never did) — the empirical twin of the calibrated
-/// crossover.
-fn observed_crossover(mat: &[MatResult]) -> Option<u16> {
-    mat.iter()
-        .filter(|r| r.pool_vs_seq() > 1.0)
-        .map(|r| r.mats)
-        .min()
-}
-
 fn write_json(
     path: &str,
     mode: &str,
@@ -188,26 +180,26 @@ fn write_json(
     chip: &[ChipResult],
     rows: u32,
     batch_k: usize,
-    measured_crossover: usize,
 ) {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut out = String::from("{\n  \"bench\": \"parallel_scaling\",\n");
     out.push_str(&format!(
-        "  \"mode\": \"{mode}\",\n  \"fanout_threads\": {FANOUT},\n  \"mat_level\": [\n"
+        "  \"mode\": \"{mode}\",\n  \"nproc\": {nproc},\n  \"fanout_threads\": {FANOUT},\n  \"mat_level\": [\n"
     ));
     for (i, r) in mat.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"mats\": {}, \"keys\": {}, \"seq_kps\": {:.0}, \
-             \"spawn_kps\": {:.0}, \"pool_kps\": {:.0}, \
-             \"pool_vs_spawn\": {:.2}, \"pool_vs_seq\": {:.2}, \
-             \"pool_matches_seq\": {}}}{}\n",
+             \"auto_kps\": {:.0}, \"pool_kps\": {:.0}, \
+             \"auto_vs_seq\": {:.2}, \"pool_vs_seq\": {:.2}, \
+             \"matches_seq\": {}}}{}\n",
             r.mats,
             r.keys,
             r.seq_kps,
-            r.spawn_kps,
+            r.auto_kps,
             r.pool_kps,
-            r.pool_vs_spawn(),
+            r.auto_vs_seq(),
             r.pool_vs_seq(),
-            r.pool_matches_seq,
+            r.matches_seq,
             if i + 1 < mat.len() { "," } else { "" },
         ));
     }
@@ -221,22 +213,12 @@ fn write_json(
             if i + 1 < chip.len() { "," } else { "" },
         ));
     }
-    // The one-shot calibration sample Auto's gate is derived from, plus
-    // both crossovers (calibrated and empirically observed).
-    let cal = rime_memristive::pool_calibration();
-    out.push_str(&format!(
-        "  ],\n  \"calibration\": {{\"round_trip_ns\": {}, \"word_picos\": {}, \
-         \"crossover_mats\": {}, \"observed_crossover_mats\": {}}},\n",
-        cal.round_trip_ns,
-        cal.word_picos,
-        measured_crossover,
-        observed_crossover(mat).map_or(-1i64, i64::from),
-    ));
+    out.push_str("  ],\n");
     // One extra fully instrumented pass of the pool configuration,
     // outside any timed region: the masked (deterministic) snapshot
     // rides along for byte-stable diffs, while the unmasked pool
     // wall-clock evidence is distilled into "pool_metrics" so the
-    // committed file proves the probes fired (PR-7 regression).
+    // committed file proves the probes fired.
     let (metrics, pool_metrics) = rime_bench::instrumented_metrics_and_pool_stats(
         geometry(64, rows),
         ParallelPolicy::Threads(FANOUT),
@@ -258,13 +240,13 @@ fn main() {
     };
 
     println!(
-        "parallel scaling: speculative pool descents vs per-step spawns ({} mode, fan-out {})",
+        "parallel scaling: memoized descent and pool vs sequential walk ({} mode, pool fan-out {})",
         if quick { "quick" } else { "full" },
         FANOUT,
     );
     println!(
         "{:>5} {:>8} | {:>12} {:>12} {:>12} | {:>10} {:>10}",
-        "mats", "keys", "seq k/s", "spawn k/s", "pool k/s", "pool/spawn", "pool/seq"
+        "mats", "keys", "seq k/s", "auto k/s", "pool k/s", "auto/seq", "pool/seq"
     );
     let mut mat_results = Vec::new();
     for mats in [8u16, 16, 32, 64, 128] {
@@ -274,24 +256,13 @@ fn main() {
             r.mats,
             r.keys,
             r.seq_kps,
-            r.spawn_kps,
+            r.auto_kps,
             r.pool_kps,
-            r.pool_vs_spawn(),
+            r.auto_vs_seq(),
             r.pool_vs_seq(),
-            if r.pool_matches_seq { "" } else { "  DIVERGED" },
+            if r.matches_seq { "" } else { "  DIVERGED" },
         );
         mat_results.push(r);
-    }
-
-    let measured_crossover = Chip::new(geometry(64, rows)).pool_crossover_mats();
-    println!();
-    match observed_crossover(&mat_results) {
-        Some(m) => println!(
-            "crossover: calibrated {measured_crossover} mats, pool first beats sequential at {m} mats"
-        ),
-        None => println!(
-            "crossover: calibrated {measured_crossover} mats, pool never beat sequential in this sweep"
-        ),
     }
 
     println!();
@@ -306,34 +277,26 @@ fn main() {
 
     if let Ok(path) = std::env::var("RIME_BENCH_JSON") {
         let mode = if quick { "quick" } else { "full" };
-        write_json(
-            &path,
-            mode,
-            &mat_results,
-            &chip_results,
-            rows,
-            batch_k,
-            measured_crossover,
-        );
+        write_json(&path, mode, &mat_results, &chip_results, rows, batch_k);
     }
 
-    // CI perf-smoke gate: the batched-epoch protocol must keep the pool
-    // comfortably ahead of per-step spawning at every swept width, and
-    // its hit stream bit-identical to Sequential.
+    // CI perf-smoke gate: every policy's hit stream and counters are
+    // bit-identical to Sequential, and the memoized descent is at least
+    // 2× the sequential walk wherever the span is wide enough to matter.
     if assert_pool {
         let mut failed = false;
         for r in &mat_results {
-            if !r.pool_matches_seq {
+            if !r.matches_seq {
                 eprintln!(
-                    "ASSERT: pool hit stream diverged from Sequential at {} mats",
+                    "ASSERT: Auto or pool diverged from Sequential at {} mats",
                     r.mats
                 );
                 failed = true;
             }
-            if r.pool_vs_spawn() < 2.0 {
+            if r.mats >= 16 && r.auto_vs_seq() < 2.0 {
                 eprintln!(
-                    "ASSERT: pool_vs_spawn {:.2} < 2.0 at {} mats",
-                    r.pool_vs_spawn(),
+                    "ASSERT: auto_vs_seq {:.2} < 2.0 at {} mats",
+                    r.auto_vs_seq(),
                     r.mats
                 );
                 failed = true;
@@ -342,6 +305,6 @@ fn main() {
         if failed {
             std::process::exit(1);
         }
-        println!("--assert-pool: all pool checks passed");
+        println!("--assert-pool: all checks passed");
     }
 }

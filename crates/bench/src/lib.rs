@@ -155,14 +155,14 @@ pub fn instrumented_metrics_and_pool_stats(
 }
 
 /// Distills the pool's wall-clock evidence from an *unmasked* snapshot:
-/// broadcast→fold latency count/sum, summed worker busy/park time, the
-/// measured Auto crossover, and session counts.
+/// broadcast→fold latency count/sum, summed worker busy/park time, and
+/// session counts.
 fn pool_stats_json(snapshot: &rime_core::Snapshot) -> String {
     use rime_core::MetricValue;
 
     let (mut step_count, mut step_sum) = (0u64, 0u64);
     let (mut busy, mut park) = (0u64, 0u64);
-    let (mut leases, mut crossover) = (0u64, 0i64);
+    let mut leases = 0u64;
     for m in &snapshot.metrics {
         match (m.name.as_str(), &m.value) {
             ("rime_pool_step_wall_ns", MetricValue::Histogram(h)) => {
@@ -172,14 +172,13 @@ fn pool_stats_json(snapshot: &rime_core::Snapshot) -> String {
             ("rime_pool_worker_busy_ns_total", MetricValue::Counter(v)) => busy += v,
             ("rime_pool_worker_park_ns_total", MetricValue::Counter(v)) => park += v,
             ("rime_pool_leases_total", MetricValue::Counter(v)) => leases += v,
-            ("rime_pool_crossover_mats", MetricValue::Gauge(v)) => crossover = crossover.max(*v),
             _ => {}
         }
     }
     format!(
         "{{\"step_latency_count\": {step_count}, \"step_latency_sum_ns\": {step_sum}, \
          \"worker_busy_ns\": {busy}, \"worker_park_ns\": {park}, \
-         \"leases\": {leases}, \"crossover_mats\": {crossover}}}"
+         \"leases\": {leases}}}"
     )
 }
 

@@ -464,11 +464,12 @@ impl RimeDevice {
 
     /// Sets every chip's mat fan-out policy (model-execution knob; see
     /// [`ParallelPolicy`] — results and counters are unaffected).
+    /// `Sequential` walks every mat at every step; `Auto` (the default)
+    /// memoizes each mat's descent across a batch on the calling thread;
     /// `Threads(n)` leases each chip's in-range mats to a persistent
-    /// shard pool; `SpawnPerStep(n)` keeps the legacy per-step scoped
-    /// fan-out as a benchmark baseline. Independent of this knob,
-    /// multi-chip batched commands dispatch each chip's prefill on its
-    /// own thread with a deterministic chip-order merge (DESIGN.md §10).
+    /// shard pool. Independent of this knob, multi-chip batched commands
+    /// dispatch each chip's prefill on its own thread with a
+    /// deterministic chip-order merge (DESIGN.md §10).
     pub fn set_parallel_policy(&self, policy: ParallelPolicy) {
         self.exec.set_parallel_policy(policy);
     }

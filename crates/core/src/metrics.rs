@@ -287,8 +287,7 @@ impl MetricsRegistry {
     }
 
     /// Registers (or fetches) a gauge, flagged nondeterministic when it
-    /// reflects wall-clock-derived quantities (e.g. the measured pool
-    /// crossover).
+    /// reflects wall-clock-derived quantities.
     pub fn gauge_with(
         &self,
         name: &str,
@@ -1382,10 +1381,9 @@ pub struct ChipProbe {
     imbalance: Gauge,
     leased_mats: Gauge,
     pool_step_wall: Histogram,
-    pool_crossover: Gauge,
     replay_steps: Counter,
     replay_wall: Histogram,
-    descend_woken: Counter,
+    descend_respeculated: Counter,
     descend_memoized: Counter,
     flight: Option<Arc<crate::flight::FlightRecorder>>,
 }
@@ -1454,12 +1452,6 @@ impl ChipProbe {
                 "wall-clock broadcast-to-fold latency per pool epoch step",
                 true,
             ),
-            pool_crossover: registry.gauge_with(
-                "rime_pool_crossover_mats",
-                &chip_label,
-                "measured Auto crossover: span width in mats where the pool wins",
-                true,
-            ),
             replay_steps: registry.counter(
                 "rime_pool_replay_steps_total",
                 &chip_label,
@@ -1471,15 +1463,17 @@ impl ChipProbe {
                 "wall-clock nanoseconds per fold-driven suffix replay",
                 true,
             ),
-            descend_woken: registry.counter(
+            // The names predate the chip's inline memoized descent; both
+            // it and the pool count mats here.
+            descend_respeculated: registry.counter(
                 "rime_pool_descend_woken_workers_total",
                 &chip_label,
-                "workers sent a descend request (not served from the memoized trace)",
+                "mats re-speculated by a memoized descent (chip batch path or pool)",
             ),
             descend_memoized: registry.counter(
                 "rime_pool_descend_memoized_shards_total",
                 &chip_label,
-                "shards whose descent was answered by the memoized trace, worker left parked",
+                "mats whose descent was answered by their memoized trace",
             ),
             flight: None,
             registry: registry.clone(),
@@ -1569,19 +1563,14 @@ impl ExtractionProbe for ChipProbe {
         self.pool_step_wall.observe(wall_ns);
     }
 
-    fn pool_crossover(&self, mats: usize) {
-        self.pool_crossover
-            .set(i64::try_from(mats).unwrap_or(i64::MAX));
-    }
-
     fn pool_replay(&self, steps: u64, wall_ns: u64) {
         self.replay_steps.add(steps);
         self.replay_wall.observe(wall_ns);
     }
 
-    fn pool_descend(&self, woken_workers: usize, memoized_shards: usize) {
-        self.descend_woken.add(woken_workers as u64);
-        self.descend_memoized.add(memoized_shards as u64);
+    fn memo_descend(&self, respeculated_mats: usize, memoized_mats: usize) {
+        self.descend_respeculated.add(respeculated_mats as u64);
+        self.descend_memoized.add(memoized_mats as u64);
     }
 
     fn pool_worker(&self, worker: usize, busy_ns: u64, session_ns: u64) {
@@ -1904,7 +1893,6 @@ mod tests {
         probe.pool_lease(4, 16, 4, 4);
         probe.pool_step(100);
         probe.pool_worker(0, 80, 100);
-        probe.pool_crossover(24);
         probe.pool_unlease();
         let snap = reg.snapshot();
         let get = |name: &str, phase: Option<&str>| {
@@ -1950,15 +1938,9 @@ mod tests {
             MetricValue::Gauge(v) => assert_eq!(v, 0),
             other => panic!("{other:?}"),
         }
-        match get("rime_pool_crossover_mats", None) {
-            MetricValue::Gauge(v) => assert_eq!(v, 24),
-            other => panic!("{other:?}"),
-        }
         // Wall-clock(-derived) metrics carry the flag; modeled ones don't.
         for m in &snap.metrics {
-            let wall = m.name.contains("wall_ns")
-                || m.name.contains("_ns_total")
-                || m.name == "rime_pool_crossover_mats";
+            let wall = m.name.contains("wall_ns") || m.name.contains("_ns_total");
             assert_eq!(m.nondeterministic, wall, "{}", m.name);
         }
     }

@@ -23,8 +23,8 @@
 //! deterministic and safe to embed in masked metric snapshots.
 //!
 //! `RIME_PLANNER_FORCE=cpu|rime|hybrid` restricts the candidate set (the
-//! operational escape hatch, mirroring `RIME_POOL_CROSSOVER`), and is
-//! how the ablation harness measures the planner's win margin.
+//! operational escape hatch), and is how the ablation harness measures
+//! the planner's win margin.
 //!
 //! [`MemoryBackend`]: rime_memsim::MemoryBackend
 

@@ -102,6 +102,22 @@ impl Bitmap {
     ///
     /// Panics if `start > end` or `end > len`.
     pub fn set_range(&mut self, start: usize, end: usize) {
+        self.update_range(start, end, |word, mask| *word |= mask);
+    }
+
+    /// Clears every bit in `[start, end)`, word-masked like
+    /// [`Bitmap::set_range`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start > end` or `end > len`.
+    pub fn clear_range(&mut self, start: usize, end: usize) {
+        self.update_range(start, end, |word, mask| *word &= !mask);
+    }
+
+    /// Calls `f(word, mask)` on every word overlapping `[start, end)`,
+    /// with `mask` selecting the word's bits inside the range.
+    fn update_range(&mut self, start: usize, end: usize, f: impl Fn(&mut u64, u64)) {
         assert!(start <= end && end <= self.len, "range out of bounds");
         if start == end {
             return;
@@ -110,13 +126,13 @@ impl Bitmap {
         let head = u64::MAX << (start % 64);
         let tail = u64::MAX >> (63 - (end - 1) % 64);
         if first == last {
-            self.words[first] |= head & tail;
+            f(&mut self.words[first], head & tail);
         } else {
-            self.words[first] |= head;
+            f(&mut self.words[first], head);
             for word in &mut self.words[first + 1..last] {
-                *word = u64::MAX;
+                f(word, u64::MAX);
             }
-            self.words[last] |= tail;
+            f(&mut self.words[last], tail);
         }
     }
 
@@ -642,6 +658,34 @@ mod tests {
             let rem = len % 64;
             if rem != 0 {
                 assert_eq!(bm.words.last().unwrap() >> rem, 0, "tail must stay zero");
+            }
+        }
+    }
+
+    #[test]
+    fn clear_range_matches_per_bit_clears() {
+        // Unaligned ends, exact words, multi-word spans and empty ranges,
+        // over an all-ones and a striped background.
+        for (len, start, end) in [
+            (70, 0, 0),
+            (70, 5, 5),
+            (70, 3, 9),
+            (70, 0, 64),
+            (70, 63, 65),
+            (70, 1, 70),
+            (200, 60, 140),
+            (200, 64, 128),
+            (191, 120, 191),
+            (191, 191, 191),
+        ] {
+            for background in [Bitmap::ones(len), (0..len).map(|i| i % 3 != 0).collect()] {
+                let mut bm = background.clone();
+                bm.clear_range(start, end);
+                let mut want = background;
+                for idx in start..end {
+                    want.set(idx, false);
+                }
+                assert_eq!(bm, want, "clear_range({start}, {end}) on len {len}");
             }
         }
     }

@@ -12,44 +12,38 @@
 //! Mats materialize lazily: a full Table I chip models 2 M key slots, but
 //! storage is only allocated for mats that actually hold data.
 //!
-//! # Parallel mat fan-out
+//! # Scheduling the descent
 //!
 //! In hardware every mat senses its column simultaneously and the
-//! signals meet at wire-OR nodes on the way up the H-tree (Fig. 9/10).
-//! The model mirrors that with a persistent mat-shard worker pool
-//! ([`crate::pool::MatPool`]): long-lived workers each own a fixed
-//! shard of the range's mats for the duration of an extraction session.
-//! A whole bit-serial descent ships to the workers as *one* broadcast —
-//! each worker speculates its shard's descent against its local wire-OR
-//! view and the controller folds the recorded traces in fixed worker
-//! order into the exact global decision sequence, replaying a divergent
-//! suffix only when a shard's local signals could have changed a global
-//! decision (see [`crate::pool`] for why the fold is exact). Because
-//! the fold reconstructs the same per-step wire-OR and removed-row sums
-//! the sequential walk computes, every [`OpCounters`] field is
-//! bit-identical whatever the thread count ([`ParallelPolicy`] is purely
-//! a scheduling knob). The retired per-step `thread::scope` fan-out
-//! survives as [`ParallelPolicy::SpawnPerStep`], kept as a benchmark
-//! baseline and an extra differential subject.
+//! signals meet at wire-OR nodes on the way up the H-tree (Fig. 9/10);
+//! the model pays for every mat on the host. [`ParallelPolicy`] picks
+//! how, and never what: hits and every [`OpCounters`] field are
+//! identical under every policy.
 //!
-//! [`ParallelPolicy::Auto`] gates pool use on a *measured* crossover:
-//! a one-shot process-wide calibration ([`crate::pool::pool_calibration`])
-//! prices a broadcast→fold round trip against per-mat step cost, and the
-//! chip derives the span width where leasing the pool starts winning
-//! (overridable via `RIME_POOL_CROSSOVER` for reproducible CI).
+//! - The **walk** senses every active mat at every step on the calling
+//!   thread — the sequential differential oracle.
+//! - The **memoized descent** ([`ParallelPolicy::Auto`] batches) keeps
+//!   one speculative trace per mat for the whole batch
+//!   (the `descent` module). Extracting a key clears one membership bit,
+//!   so after each hit only the winner's mat re-latches its select
+//!   window and re-speculates; every other mat's trace is reused, and
+//!   the fold rebuilds the exact global decision sequence.
+//! - The **pool** ([`ParallelPolicy::Threads`], [`crate::pool`]) runs
+//!   the same speculation on persistent mat-shard workers.
 
 use std::sync::Arc;
 
 use crate::array::ColumnSignals;
 use crate::bitmap::Bitmap;
 use crate::counters::OpCounters;
+use crate::descent::{self, exclude_mat, sense_mat, DescentOutcome, MatTrace};
 use crate::encoding::KeyFormat;
 use crate::error::Error;
 use crate::geometry::ChipGeometry;
 use crate::htree::IndexTree;
 use crate::mat::{Mat, MatState};
 use crate::plan::{Direction, SearchPlan};
-use crate::pool::{pool_calibration, Dirty, MatPool};
+use crate::pool::{Dirty, MatPool};
 use crate::probe::{timed, Phase, SharedProbe};
 
 /// Result of one in-situ min/max extraction.
@@ -64,49 +58,37 @@ pub struct ExtractHit {
     pub steps: u16,
 }
 
-/// How the chip controller fans each column-search step out across mats.
+/// How the chip controller schedules the column search across mats.
 ///
 /// Hardware mats always operate simultaneously; this knob only controls
-/// how the *model* schedules them onto OS threads. Results and
-/// [`OpCounters`] are identical under every policy.
+/// how the *model* runs them on the host. Results and [`OpCounters`] are
+/// identical under every policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParallelPolicy {
-    /// Walk the mats on the calling thread — the differential oracle.
+    /// Walk every mat at every step on the calling thread — the
+    /// differential oracle.
     Sequential,
-    /// Route ranges spanning at least the *measured* crossover width
-    /// (see [`Chip::pool_crossover_mats`]) through the persistent
-    /// mat-shard pool with `min(host parallelism, mats in range)`
-    /// workers, where host parallelism is `available_parallelism`
-    /// (cached per chip, re-queried whenever the pool is rebuilt).
-    /// Narrower ranges — and hosts whose parallelism is 1 — stay on
-    /// the calling thread. The default.
+    /// Batches of k ≥ 2 over spans of ≥ 2 mats run the memoized per-mat
+    /// descent on the calling thread: after each hit only the winner's
+    /// mat re-descends. Single extractions and single-mat spans walk
+    /// inline (nothing to reuse). The default.
     #[default]
     Auto,
-    /// Drive the persistent pool with exactly this many workers
-    /// (`0` and `1` stay on the calling thread).
+    /// Drive the persistent mat-shard pool with exactly this many
+    /// workers (`0` and `1` walk on the calling thread).
     Threads(usize),
-    /// Legacy scheduling: open a fresh `thread::scope` with this many
-    /// workers on *every* column-search step. Retained as a benchmark
-    /// baseline for the pool and as an extra differential subject; new
-    /// code wants [`ParallelPolicy::Threads`] or
-    /// [`ParallelPolicy::Auto`].
-    SpawnPerStep(usize),
 }
 
 /// How a given extraction session is actually scheduled.
+#[derive(Clone, Copy)]
 enum Fanout {
-    /// Walk (or scope-spawn over) the mats on the calling side with this
-    /// many threads per step.
-    Host(usize),
+    /// Walk every mat at every step on the calling thread.
+    Walk,
+    /// Memoized per-mat descents on the calling thread.
+    Memo,
     /// Lease the span to the persistent pool with this many workers.
     Pool(usize),
 }
-
-/// Clamp bounds for the Auto crossover (mats): below 2 the pool can
-/// never win (single-mat spans short-circuit anyway), and a pathological
-/// calibration sample must not push the crossover past any real span.
-const POOL_CROSSOVER_MIN: usize = 2;
-const POOL_CROSSOVER_MAX: usize = 1 << 20;
 
 /// Where a pooled descent's replay path finds the span's select
 /// membership: the batch loop already holds it as a shared `Arc`, while
@@ -161,18 +143,8 @@ pub struct Chip {
     /// observationally identical — hits and counters bit-equal — which
     /// the differential suite proves.
     scalar_oracle: bool,
-    /// Host parallelism, queried at construction and re-queried whenever
-    /// the pool is rebuilt (`available_parallelism` is a syscall-backed
-    /// lookup; re-querying per extraction range was measurable on the
-    /// batch path, but a parked-then-rebuilt pool must not keep a stale
-    /// thread count).
-    auto_threads: usize,
-    /// Measured Auto crossover (mats), derived lazily from the one-shot
-    /// pool calibration (or `RIME_POOL_CROSSOVER`). Invalidated together
-    /// with `auto_threads` when the pool is rebuilt.
-    pool_crossover: Option<usize>,
-    /// Test knob: bail initial pool speculation after this many steps so
-    /// the fold exercises the divergence-replay path.
+    /// Test knob: bail initial speculation (pool and memoized descent)
+    /// after this many steps so the fold exercises the replay path.
     pool_force_replay: Option<u16>,
     /// Test knob: explicit per-worker shard sizes for pool leases
     /// (overrides the worker count with the plan's length).
@@ -201,8 +173,6 @@ impl std::fmt::Debug for Chip {
             .field("counters", &self.counters)
             .field("parallel", &self.parallel)
             .field("scalar_oracle", &self.scalar_oracle)
-            .field("auto_threads", &self.auto_threads)
-            .field("pool_crossover", &self.pool_crossover)
             .field("pool", &self.pool)
             .field("probe", &self.probe.as_ref().map(|_| "installed"))
             .finish()
@@ -221,8 +191,6 @@ impl Clone for Chip {
             counters: self.counters,
             parallel: self.parallel,
             scalar_oracle: self.scalar_oracle,
-            auto_threads: self.auto_threads,
-            pool_crossover: self.pool_crossover,
             pool_force_replay: self.pool_force_replay,
             pool_shard_plan: self.pool_shard_plan.clone(),
             // Worker threads are not shareable state; the clone builds
@@ -248,8 +216,6 @@ impl Chip {
             counters: OpCounters::new(),
             parallel: ParallelPolicy::Auto,
             scalar_oracle: false,
-            auto_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            pool_crossover: None,
             pool_force_replay: None,
             pool_shard_plan: None,
             pool: None,
@@ -293,70 +259,25 @@ impl Chip {
         self.parallel = policy;
     }
 
-    /// Decides how this session's span is scheduled. Single-mat spans
-    /// always stay on the calling thread — no fan-out can help them.
-    fn fanout(&mut self, mats_in_range: usize) -> Fanout {
+    /// Decides how a session extracting up to `k` keys over a span of
+    /// `mats_in_range` mats is scheduled. Single-mat spans always walk —
+    /// there is nothing to fan out or reuse.
+    fn fanout(&self, mats_in_range: usize, k: usize) -> Fanout {
         if mats_in_range <= 1 {
-            return Fanout::Host(1);
+            return Fanout::Walk;
         }
         match self.parallel {
-            ParallelPolicy::Sequential => Fanout::Host(1),
-            ParallelPolicy::SpawnPerStep(n) => Fanout::Host(n.clamp(1, mats_in_range)),
-            ParallelPolicy::Threads(0 | 1) => Fanout::Host(1),
+            ParallelPolicy::Sequential | ParallelPolicy::Threads(0 | 1) => Fanout::Walk,
             ParallelPolicy::Threads(n) => Fanout::Pool(n),
-            ParallelPolicy::Auto => {
-                if self.auto_threads <= 1 || mats_in_range < self.pool_crossover_mats() {
-                    Fanout::Host(1)
-                } else {
-                    Fanout::Pool(self.auto_threads.min(mats_in_range))
-                }
-            }
+            ParallelPolicy::Auto if k >= 2 => Fanout::Memo,
+            ParallelPolicy::Auto => Fanout::Walk,
         }
     }
 
-    /// Span width (in mats) where [`ParallelPolicy::Auto`] starts leasing
-    /// the pool. Derived lazily from the one-shot process-wide
-    /// calibration ([`crate::pool::pool_calibration`]) and cached until
-    /// the pool is rebuilt; `RIME_POOL_CROSSOVER=<mats>` overrides the
-    /// measurement for reproducible runs. Always in
-    /// `[2, 2^20]`.
-    pub fn pool_crossover_mats(&mut self) -> usize {
-        if let Some(crossover) = self.pool_crossover {
-            return crossover;
-        }
-        let crossover = std::env::var("RIME_POOL_CROSSOVER")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or_else(|| self.measured_crossover())
-            .clamp(POOL_CROSSOVER_MIN, POOL_CROSSOVER_MAX);
-        self.pool_crossover = Some(crossover);
-        crossover
-    }
-
-    /// Prices the pool against the inline walk from the calibration
-    /// sample: a pooled descent costs one broadcast→fold round trip and
-    /// saves the host `(threads-1)/threads` of the span's per-mat step
-    /// work, so the pool wins once
-    /// `mats × steps × per_mat_step × (threads-1)/threads > round_trip`.
-    fn measured_crossover(&self) -> usize {
-        let cal = pool_calibration();
-        let words_per_mat =
-            u64::from(self.geometry.arrays_per_mat) * u64::from(self.geometry.rows).div_ceil(64);
-        // Each step touches every select word twice (sense + exclusion).
-        let per_mat_step_ps = 2 * words_per_mat * cal.word_picos;
-        let threads = self.auto_threads.max(2) as u64;
-        // A full-width descent (64 steps) is the unit the protocol
-        // amortizes the round trip over.
-        let saved_per_mat_ps = 64 * per_mat_step_ps * (threads - 1) / threads;
-        (cal.round_trip_ns.saturating_mul(1000))
-            .div_ceil(saved_per_mat_ps.max(1))
-            .try_into()
-            .unwrap_or(POOL_CROSSOVER_MAX)
-    }
-
-    /// Test knob: make pool workers bail their *initial* speculation
-    /// after `limit` steps, forcing the fold through the divergence
-    /// replay path (replayed runs always complete). `None` disarms.
+    /// Test knob: make *initial* speculations (pool workers and the
+    /// memoized descent) bail after `limit` steps, forcing the fold
+    /// through the replay path (replayed runs always complete). `None`
+    /// disarms.
     /// Purely a scheduling knob — results and counters are unchanged,
     /// which is exactly what the replay proptests pin.
     pub fn set_pool_force_replay(&mut self, limit: Option<u16>) {
@@ -473,9 +394,7 @@ impl Chip {
             return Err(Error::EmptyRange { begin, end });
         }
         self.check_slot(end - 1)?;
-        for slot in begin..end {
-            self.excluded.set(slot as usize, false);
-        }
+        self.excluded.clear_range(begin as usize, end as usize);
         self.load_selection(begin, end);
         self.format = Some(format);
         self.range = Some((begin, end));
@@ -597,10 +516,7 @@ impl Chip {
             return Ok(None);
         }
 
-        Ok(Some(match self.fanout(last_mat - first_mat + 1) {
-            Fanout::Host(threads) => {
-                self.converge_host(first_mat, last_mat, &plan, selected, threads)
-            }
+        Ok(Some(match self.fanout(last_mat - first_mat + 1, 1) {
             Fanout::Pool(workers) => {
                 let mut pool = self.lease_pool(first_mat, last_mat, workers);
                 let hit = self.converge_pooled(
@@ -613,6 +529,7 @@ impl Chip {
                 self.restore_pool(first_mat, pool);
                 hit
             }
+            Fanout::Walk | Fanout::Memo => self.converge_host(first_mat, last_mat, &plan, selected),
         }))
     }
 
@@ -688,84 +605,74 @@ impl Chip {
         let mut hits = Vec::with_capacity(k);
         let mut selected = membership.count_ones() as u64;
         let probe = self.probe.clone();
-        match self.fanout(last_mat - first_mat + 1) {
-            Fanout::Host(threads) => {
-                for _ in 0..k {
-                    // Rearm: one select-vector load through the H-tree,
-                    // exactly as the sequential path counts it. Each mat
-                    // latches its window of the membership vector in
-                    // place — zero allocations per iteration.
-                    let mut rearm_ns = 0u64;
-                    timed(&probe, &mut rearm_ns, || {
-                        let per_mat = self.geometry.slots_per_mat() as usize;
-                        for idx in first_mat..=last_mat {
-                            self.mat_mut(idx as u32)
-                                .load_select_window(&membership, idx * per_mat);
-                        }
-                    });
-                    if let Some(p) = &probe {
-                        p.phase(Phase::Rearm, rearm_ns, 1);
+        let fanout = self.fanout(last_mat - first_mat + 1, k);
+        let mut pool = match fanout {
+            Fanout::Pool(workers) => Some(self.lease_pool(first_mat, last_mat, workers)),
+            Fanout::Walk | Fanout::Memo => None,
+        };
+        let mut traces = match fanout {
+            Fanout::Memo => vec![MatTrace::silent(0, 0); last_mat - first_mat + 1],
+            Fanout::Walk | Fanout::Pool(_) => Vec::new(),
+        };
+        // Shared with the pool workers, which drop their clones before
+        // replying, so each `Arc::make_mut` below mutates in place.
+        let mut membership = Arc::new(membership);
+        let mut dirty_slot: Option<u64> = None;
+        // Empty in-range slots hold 0 and participate in ranking.
+        for idx in first_mat..=last_mat {
+            self.mat_mut(idx as u32);
+        }
+        for _ in 0..k {
+            // Rearm: one select-vector load through the H-tree, exactly
+            // as the single-extract path counts it. The walk latches
+            // every span mat's window here; the memoized and pooled
+            // descents fuse it into the descent (only stale mats
+            // re-latch), so its wall time lands there.
+            let mut rearm_ns = 0u64;
+            if let Fanout::Walk = fanout {
+                timed(&probe, &mut rearm_ns, || {
+                    let per_mat = self.geometry.slots_per_mat() as usize;
+                    for idx in first_mat..=last_mat {
+                        self.mat_mut(idx as u32)
+                            .load_select_window(&membership, idx * per_mat);
                     }
-                    self.counters.select_loads += 1;
-                    self.counters.htree_traversals += 1;
-
-                    if selected == 0 {
-                        break;
-                    }
-                    let hit = self.converge_host(first_mat, last_mat, &plan, selected, threads);
-                    membership.set(hit.slot as usize, false);
-                    selected -= 1;
-                    hits.push(hit);
-                }
+                });
             }
-            Fanout::Pool(workers) => {
-                // One lease covers the whole batch: the membership vector
-                // is shared with the workers (`Arc`), each rearm is a
-                // fire-and-forget broadcast, and the mats come home only
-                // after the last extraction. Counter arithmetic matches
-                // the host path line for line.
-                let mut pool = self.lease_pool(first_mat, last_mat, workers);
-                let mut membership = Arc::new(membership);
-                let mut dirty_slot: Option<u64> = None;
-                for _ in 0..k {
-                    // The select-vector rearm is fused into the descend
-                    // broadcast (the workers latch their windows before
-                    // speculating), so its wall time lands inside the
-                    // descent; the modeled hardware event is the same
-                    // one-traversal select load as the host path.
-                    if let Some(p) = &probe {
-                        p.phase(Phase::Rearm, 0, 1);
-                    }
-                    self.counters.select_loads += 1;
-                    self.counters.htree_traversals += 1;
+            if let Some(p) = &probe {
+                p.phase(Phase::Rearm, rearm_ns, 1);
+            }
+            self.counters.select_loads += 1;
+            self.counters.htree_traversals += 1;
 
-                    if selected == 0 {
-                        break;
-                    }
-                    // After the first key only the previous winner's
-                    // shard re-speculates; the rest serve their memoized
-                    // traces (bit-identical by purity — see MatPool).
+            if selected == 0 {
+                break;
+            }
+            let hit = match fanout {
+                Fanout::Walk => self.converge_host(first_mat, last_mat, &plan, selected),
+                Fanout::Memo => self.converge_memo(first_mat, &plan, &membership, &mut traces),
+                Fanout::Pool(_) => {
+                    // After the first key only the previous winner's mat
+                    // re-speculates; the rest serve memoized traces.
                     let dirty = match &dirty_slot {
                         None => Dirty::All,
                         Some(slot) => Dirty::Slots(std::slice::from_ref(slot)),
                     };
-                    let hit = self.converge_pooled(
+                    self.converge_pooled(
                         first_mat,
-                        &mut pool,
+                        pool.as_mut().expect("pooled sessions hold a lease"),
                         &plan,
                         MembershipSource::Shared(&membership),
                         dirty,
-                    );
-                    // The next barrier (any reply-bearing request) has
-                    // already passed by the time a hit returns, so the
-                    // workers hold no clone and this mutates in place.
-                    Arc::make_mut(&mut membership).set(hit.slot as usize, false);
-                    selected -= 1;
-                    dirty_slot = Some(hit.slot);
-                    hits.push(hit);
+                    )
                 }
-                self.restore_pool(first_mat, pool);
-            }
+            };
+            Arc::make_mut(&mut membership).set(hit.slot as usize, false);
+            selected -= 1;
+            dirty_slot = Some(hit.slot);
+            hits.push(hit);
+        }
+        if let Some(pool) = pool {
+            self.restore_pool(first_mat, pool);
         }
         Ok(hits)
     }
@@ -784,22 +691,10 @@ impl Chip {
         };
         let mut pool = match self.pool.take() {
             Some(pool) if pool.workers() == workers => pool,
-            _ => {
-                // Rebuilding the pool invalidates the host-derived
-                // caches: the machine's thread budget may have changed
-                // since they were computed, and a crossover priced for a
-                // stale thread count would mis-gate Auto (§satellite).
-                self.auto_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-                self.pool_crossover = None;
-                MatPool::new(workers)
-            }
+            _ => MatPool::new(workers),
         };
         pool.set_probe(self.probe.clone());
         pool.set_force_replay(self.pool_force_replay);
-        let probe = self.probe.clone();
-        if let Some(p) = &probe {
-            p.pool_crossover(self.pool_crossover_mats());
-        }
         let span: Vec<Option<Mat>> = self.mats[first_mat..=last_mat]
             .iter_mut()
             .map(Option::take)
@@ -832,17 +727,14 @@ impl Chip {
     /// Runs the bit-serial search to convergence over `selected` armed
     /// rows in `mats[first_mat..=last_mat]`, priority-encodes the winner,
     /// reads it out, and flags it excluded. The caller has already armed
-    /// the select vectors and counted `selected > 0`. Host-side
-    /// scheduling: `threads == 1` walks inline, `threads > 1` opens a
-    /// `thread::scope` per step (the legacy
-    /// [`ParallelPolicy::SpawnPerStep`] baseline).
+    /// the select vectors and counted `selected > 0`. Every step senses
+    /// every active mat on the calling thread — the sequential oracle.
     fn converge_host(
         &mut self,
         first_mat: usize,
         last_mat: usize,
         plan: &SearchPlan,
         mut selected: u64,
-        threads: usize,
     ) -> ExtractHit {
         let probe = self.probe.clone();
         let (mut sense_ns, mut exclude_ns, mut reduce_ns, mut readout_ns) = (0u64, 0, 0, 0);
@@ -856,15 +748,17 @@ impl Chip {
             steps_executed += 1;
             let pos = plan.position(step);
 
-            // Column search on every active mat; wire-OR the signals
-            // (fanned out across threads per the chip's policy).
+            // Column search on every active mat; wire-OR the signals.
+            let scalar = self.scalar_oracle;
+            let span = &mut self.mats[first_mat..=last_mat];
             let (global, active_mats) = timed(&probe, &mut sense_ns, || {
-                sense_step(
-                    &self.mats[first_mat..=last_mat],
-                    pos,
-                    threads,
-                    self.scalar_oracle,
-                )
+                let mut signals = ColumnSignals::default();
+                let mut active = 0u64;
+                for mat in span.iter().flatten().filter(|m| m.selected_count() > 0) {
+                    active += 1;
+                    signals.merge(sense_mat(mat, pos, scalar));
+                }
+                (signals, active)
             });
             self.counters.column_search_steps += 1;
             self.counters.mat_column_searches += active_mats;
@@ -878,13 +772,11 @@ impl Chip {
             if !global.all_same() {
                 let keep = plan.keep_bit(step, survivors_negative);
                 let removed = timed(&probe, &mut exclude_ns, || {
-                    exclude_step(
-                        &mut self.mats[first_mat..=last_mat],
-                        pos,
-                        keep,
-                        threads,
-                        self.scalar_oracle,
-                    )
+                    span.iter_mut()
+                        .flatten()
+                        .filter(|m| m.selected_count() > 0)
+                        .map(|m| exclude_mat(m, pos, keep, scalar))
+                        .sum::<u64>()
                 });
                 self.counters.select_loads += 1;
                 selected -= removed;
@@ -938,10 +830,7 @@ impl Chip {
     /// Pool-scheduled twin of [`Chip::converge_host`]: the span's mats
     /// live in `pool` (leased from `first_mat`), and the whole bit-serial
     /// descent runs as a *single* broadcast→fold round trip
-    /// ([`MatPool::descend`]) — workers speculate their shard's descent
-    /// locally and the fold reconstructs the exact global decision
-    /// sequence, so the counter arithmetic still matches the host path
-    /// line for line and [`OpCounters`] stays scheduling-invariant.
+    /// ([`MatPool::descend`]).
     fn converge_pooled(
         &mut self,
         first_mat: usize,
@@ -951,33 +840,90 @@ impl Chip {
         dirty: Dirty<'_>,
     ) -> ExtractHit {
         let probe = self.probe.clone();
-        let (mut descend_ns, mut reduce_ns) = (0u64, 0u64);
-        let outcome = {
-            let excluded = &self.excluded;
-            let capacity = self.geometry.capacity_slots() as usize;
-            // Shared membership doubles as the fused rearm payload: the
-            // workers re-latch their select windows inside the descend
-            // request (one wake cycle, not two). The rebuild path loads
-            // selects host-side before leasing, so no rearm rides along.
-            let rearm = match membership {
-                MembershipSource::Shared(m) => Some(m),
-                MembershipSource::Rebuild { .. } => None,
-            };
-            // Replay membership (global slot indexing), materialized only
-            // if the fold actually replays — never on the natural path.
-            let mut membership_fn = || match membership {
-                MembershipSource::Shared(m) => Arc::clone(m),
-                MembershipSource::Rebuild { begin, end } => {
-                    let mut m = Bitmap::zeros(capacity);
-                    m.set_range(begin as usize, end as usize);
-                    m.and_not_assign(excluded);
-                    Arc::new(m)
-                }
-            };
-            timed(&probe, &mut descend_ns, || {
-                pool.descend(plan, rearm, dirty, &mut membership_fn)
-            })
+        let mut descend_ns = 0u64;
+        let excluded = &self.excluded;
+        let capacity = self.geometry.capacity_slots() as usize;
+        // Shared membership doubles as the fused rearm payload: the
+        // workers re-latch their select windows inside the descend
+        // request (one wake cycle, not two). The rebuild path loads
+        // selects host-side before leasing, so no rearm rides along.
+        let rearm = match membership {
+            MembershipSource::Shared(m) => Some(m),
+            MembershipSource::Rebuild { .. } => None,
         };
+        // Replay membership (global slot indexing), materialized only if
+        // the fold actually replays — never on the natural path.
+        let mut membership_fn = || match membership {
+            MembershipSource::Shared(m) => Arc::clone(m),
+            MembershipSource::Rebuild { begin, end } => {
+                let mut m = Bitmap::zeros(capacity);
+                m.set_range(begin as usize, end as usize);
+                m.and_not_assign(excluded);
+                Arc::new(m)
+            }
+        };
+        let outcome = timed(&probe, &mut descend_ns, || {
+            pool.descend(plan, rearm, dirty, &mut membership_fn)
+        });
+        self.finish_descent(first_mat, &outcome, descend_ns)
+    }
+
+    /// Memoized twin of [`Chip::converge_host`] for batch extraction:
+    /// `traces` holds one trace per span mat, kept across the batch.
+    /// Mats whose trace is missing (the first key, the previous winner's
+    /// mat, a partial replay) re-latch their select window from
+    /// `membership` and re-speculate; every other trace is reused, and
+    /// the fold rebuilds the global descent (the `descent` module).
+    fn converge_memo(
+        &mut self,
+        first_mat: usize,
+        plan: &SearchPlan,
+        membership: &Bitmap,
+        traces: &mut [MatTrace],
+    ) -> ExtractHit {
+        let probe = self.probe.clone();
+        let per_mat = self.geometry.slots_per_mat() as usize;
+        let (scalar, bail_at) = (self.scalar_oracle, self.pool_force_replay);
+        let span = &mut self.mats[first_mat..first_mat + traces.len()];
+        let mut respeculated = 0;
+        let mut descend_ns = 0u64;
+        let outcome = timed(&probe, &mut descend_ns, || {
+            for (offset, (mat, trace)) in span.iter_mut().zip(traces.iter_mut()).enumerate() {
+                if !trace.is_full(plan.steps()) {
+                    let mat = mat.as_mut().expect("span mats are materialized");
+                    mat.load_select_window(membership, (first_mat + offset) * per_mat);
+                    *trace = descent::speculate(mat, scalar, plan, 0, false, bail_at);
+                    respeculated += 1;
+                }
+            }
+            descent::fold(plan, traces, &mut |targets, prefix, sv, traces| {
+                for &i in targets {
+                    let mat = span[i].as_mut().expect("span mats are materialized");
+                    let window = (first_mat + i) * per_mat;
+                    traces[i] = descent::replay(mat, scalar, plan, membership, window, prefix, sv);
+                }
+            })
+        });
+        if let Some(p) = &probe {
+            p.memo_descend(respeculated, traces.len() - respeculated);
+        }
+        let hit = self.finish_descent(first_mat, &outcome, descend_ns);
+        // The winner leaves the membership: its mat's trace is stale.
+        traces[hit.slot as usize / per_mat - first_mat].invalidate();
+        hit
+    }
+
+    /// Shared tail of the folded descents: applies the fold's counts to
+    /// [`OpCounters`] exactly as [`Chip::converge_host`] would have
+    /// counted them, priority-encodes the winner from the fold's per-mat
+    /// firsts, and flags it excluded.
+    fn finish_descent(
+        &mut self,
+        first_mat: usize,
+        outcome: &DescentOutcome,
+        descend_ns: u64,
+    ) -> ExtractHit {
+        let probe = self.probe.clone();
         let steps_executed = outcome.steps_executed;
         self.counters.column_search_steps += u64::from(steps_executed);
         self.counters.mat_column_searches += outcome.mat_searches;
@@ -989,17 +935,14 @@ impl Chip {
             }
         }
 
-        // Upstream index reduction across all mats (Fig. 10): span
-        // entries came home with the fold, in mat order; mats outside
-        // the span stayed put (their selects were cleared by the
-        // caller). The scratch buffer keeps this allocation-free.
+        // Upstream index reduction across all mats (Fig. 10). Mats
+        // outside the span hold no selection (every session clears
+        // them), and the span's entries come from the fold. The scratch
+        // buffer keeps this allocation-free.
+        let mut reduce_ns = 0u64;
         let slot = timed(&probe, &mut reduce_ns, || {
             self.firsts_scratch.clear();
-            self.firsts_scratch.extend(
-                self.mats
-                    .iter()
-                    .map(|m| m.as_ref().and_then(Mat::first_selected)),
-            );
+            self.firsts_scratch.resize(self.mats.len(), None);
             self.firsts_scratch[first_mat..first_mat + outcome.firsts.len()]
                 .copy_from_slice(&outcome.firsts);
             self.tree
@@ -1008,8 +951,7 @@ impl Chip {
         });
         self.counters.htree_traversals += 1;
 
-        // The winner's raw bits also came home with the fold — no extra
-        // round trip to its shard.
+        // The winner's raw bits came with its trace: no extra row read.
         let (mat, _local) = self.geometry.split_slot(slot);
         let raw_bits = outcome.raws[mat as usize - first_mat];
         self.counters.row_reads += 1;
@@ -1017,9 +959,9 @@ impl Chip {
         self.counters.extractions += 1;
 
         if let Some(p) = &probe {
-            // Phase attribution mirrors the host path: the descent wall
-            // time lands on Sense (it is overwhelmingly sensing), and the
-            // op counts — which the metrics layer prices and pins against
+            // Phase attribution mirrors the walk: the descent wall time
+            // lands on Sense (it is overwhelmingly sensing), and the op
+            // counts — which the metrics layer prices and pins against
             // OpCounters — are exact.
             p.phase(Phase::Sense, descend_ns, u64::from(steps_executed));
             p.phase(Phase::Exclude, 0, exclusions);
@@ -1123,111 +1065,6 @@ impl Chip {
             .map(|m| m.as_ref().map_or(0, Mat::total_writes))
             .collect()
     }
-}
-
-/// One column-search step across a mat span: every active mat senses bit
-/// `pos` and the signals wire-OR upstream (Fig. 9). With `threads > 1`
-/// the span splits into contiguous chunks, each worker accumulating its
-/// own `ColumnSignals` and active-mat count; the partials merge in chunk
-/// order, mirroring the H-tree's reduction nodes. Both the OR and the
-/// count are commutative, so the result is independent of scheduling.
-fn sense_step(
-    mats: &[Option<Mat>],
-    pos: u16,
-    threads: usize,
-    scalar: bool,
-) -> (ColumnSignals, u64) {
-    fn sense_mat(mat: &Mat, pos: u16, scalar: bool) -> ColumnSignals {
-        #[cfg(any(test, feature = "scalar-oracle"))]
-        if scalar {
-            return mat.sense_column_scalar(pos);
-        }
-        let _ = scalar;
-        mat.sense_column(pos)
-    }
-
-    fn walk(mats: &[Option<Mat>], pos: u16, scalar: bool) -> (ColumnSignals, u64) {
-        let mut signals = ColumnSignals::default();
-        let mut active = 0u64;
-        for mat in mats.iter().flatten() {
-            if mat.selected_count() == 0 {
-                continue;
-            }
-            active += 1;
-            signals.merge(sense_mat(mat, pos, scalar));
-        }
-        (signals, active)
-    }
-
-    if threads <= 1 || mats.len() <= 1 {
-        return walk(mats, pos, scalar);
-    }
-    let chunk = mats.len().div_ceil(threads);
-    let partials: Vec<(ColumnSignals, u64)> = std::thread::scope(|scope| {
-        let workers: Vec<_> = mats
-            .chunks(chunk)
-            .map(|part| scope.spawn(move || walk(part, pos, scalar)))
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("sense worker panicked"))
-            .collect()
-    });
-    let mut global = ColumnSignals::default();
-    let mut active = 0u64;
-    for (signals, count) in partials {
-        global.merge(signals);
-        active += count;
-    }
-    (global, active)
-}
-
-/// One global exclusion across a mat span: every active mat latches its
-/// match vector for (`pos`, `keep`). Returns total rows deselected,
-/// accumulated per chunk and summed in chunk order (commutative, so
-/// deterministic under any thread count).
-fn exclude_step(
-    mats: &mut [Option<Mat>],
-    pos: u16,
-    keep: bool,
-    threads: usize,
-    scalar: bool,
-) -> u64 {
-    fn exclude_mat(mat: &mut Mat, pos: u16, keep: bool, scalar: bool) -> u64 {
-        #[cfg(any(test, feature = "scalar-oracle"))]
-        if scalar {
-            return mat.apply_exclusion_scalar(pos, keep) as u64;
-        }
-        let _ = scalar;
-        mat.apply_exclusion(pos, keep) as u64
-    }
-
-    fn walk(mats: &mut [Option<Mat>], pos: u16, keep: bool, scalar: bool) -> u64 {
-        let mut removed = 0u64;
-        for mat in mats.iter_mut().flatten() {
-            if mat.selected_count() == 0 {
-                continue;
-            }
-            removed += exclude_mat(mat, pos, keep, scalar);
-        }
-        removed
-    }
-
-    if threads <= 1 || mats.len() <= 1 {
-        return walk(mats, pos, keep, scalar);
-    }
-    let chunk = mats.len().div_ceil(threads);
-    let partials: Vec<u64> = std::thread::scope(|scope| {
-        let workers: Vec<_> = mats
-            .chunks_mut(chunk)
-            .map(|part| scope.spawn(move || walk(part, pos, keep, scalar)))
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("exclusion worker panicked"))
-            .collect()
-    });
-    partials.into_iter().sum()
 }
 
 #[cfg(test)]
@@ -1484,14 +1321,13 @@ mod tests {
     #[test]
     fn parallel_policy_is_observationally_invisible() {
         // Same keys, every scheduling policy (inline walk, persistent
-        // pool, legacy per-step spawns, Auto): identical hit streams and
+        // pool, Auto's memoized descent): identical hit streams and
         // identical counters (the wire-OR merge is order-independent).
         let keys: Vec<u32> = (0..64).map(|i| (i * 2654435761u64 % 997) as u32).collect();
         let mut reference: Option<(Vec<ExtractHit>, OpCounters)> = None;
         for policy in [
             ParallelPolicy::Sequential,
             ParallelPolicy::Threads(3),
-            ParallelPolicy::SpawnPerStep(3),
             ParallelPolicy::Auto,
         ] {
             let mut chip = chip_with(&keys);
@@ -1605,36 +1441,6 @@ mod tests {
         assert_eq!(chip.read_key(3).unwrap(), 77);
         assert_eq!(chip.read_key(4).unwrap(), 0);
         assert!(chip.read_key(1 << 40).is_err());
-    }
-
-    #[test]
-    fn auto_policy_gates_on_measured_crossover_and_host_parallelism() {
-        // Pins the Auto fan-out decision (DESIGN.md §13): spans narrower
-        // than the cached crossover stay on the calling thread, wider
-        // ones lease the pool with min(host, mats) workers. The
-        // crossover is injected here so the test is calibration-free.
-        let mut chip = Chip::new(ChipGeometry::tiny());
-        chip.auto_threads = 4;
-        chip.pool_crossover = Some(16);
-        assert!(matches!(chip.fanout(15), Fanout::Host(1)));
-        assert!(matches!(chip.fanout(16), Fanout::Pool(4)));
-        assert!(matches!(chip.fanout(17), Fanout::Pool(4)));
-        // A single-threaded host never leases the pool, whatever the span.
-        chip.auto_threads = 1;
-        assert!(matches!(chip.fanout(16), Fanout::Host(1)));
-        assert!(matches!(chip.fanout(1000), Fanout::Host(1)));
-        // Worker count is clamped to the mats actually in range.
-        chip.auto_threads = 32;
-        assert!(matches!(chip.fanout(17), Fanout::Pool(17)));
-        // Single-mat spans short-circuit before the policy is consulted.
-        assert!(matches!(chip.fanout(1), Fanout::Host(1)));
-        // The measured crossover is always inside the documented clamp
-        // (this exercises the real calibration once per process).
-        chip.pool_crossover = None;
-        let measured = chip.pool_crossover_mats();
-        assert!((POOL_CROSSOVER_MIN..=POOL_CROSSOVER_MAX).contains(&measured));
-        // ... and it is cached until the pool is rebuilt.
-        assert_eq!(chip.pool_crossover, Some(measured));
     }
 
     #[test]

@@ -24,10 +24,10 @@
 //!   range (Fig. 11).
 //! * [`chip`] — banks, subbanks, and mats under a chip controller that
 //!   coordinates multi-mat exclusion with the two-signal protocol (Fig. 9)
-//!   and streams ranked values.
-//! * [`pool`] — the persistent mat-shard worker pool the chip controller
-//!   drives with epoch-tagged step broadcasts (the model's standing
-//!   concurrency, mirroring always-on hardware mats).
+//!   and streams ranked values. Batch extraction memoizes each mat's
+//!   speculative descent, so after a hit only the winner's mat re-descends.
+//! * [`pool`] — the persistent mat-shard worker pool behind
+//!   `ParallelPolicy::Threads`, driven with epoch-tagged descent broadcasts.
 //! * [`probe`] — zero-cost-when-disabled observation hooks for extraction
 //!   phases and pool activity (rime-core's metrics layer plugs in here).
 //! * [`timing`] / [`counters`] — Table I device timings and energy, and
@@ -72,6 +72,7 @@ pub mod array;
 pub mod bitmap;
 pub mod chip;
 pub mod counters;
+mod descent;
 pub mod encoding;
 pub mod error;
 pub mod geometry;

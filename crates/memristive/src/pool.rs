@@ -1,22 +1,17 @@
-//! Persistent mat-shard worker pool — standing concurrency for the
-//! column search (§IV-B.2, Fig. 9).
+//! Persistent mat-shard worker pool — the [`crate::ParallelPolicy::Threads`]
+//! scheduler for the column search (§IV-B.2, Fig. 9).
 //!
 //! In hardware every mat is always powered and listening: the chip
 //! controller broadcasts one step descriptor per column search and the
 //! per-mat signals meet at fixed wire-OR nodes on the way back up the
-//! H-tree. The earlier model approximated that with a fresh
-//! `std::thread::scope` per step — up to ~128 spawn/join rounds per
-//! 64-bit key. [`MatPool`] replaces the per-step fan-out with the
-//! hardware shape: long-lived shard executors each own a fixed
-//! contiguous shard of the range's mats for the duration of an
-//! extraction *session* (lease → steps → unlease), and the controller
-//! drives them by broadcasting epoch-tagged requests over per-worker
-//! channels. The controller itself is shard executor 0 (**leader
-//! participation**): instead of blocking in `recv` while one more
-//! worker wakes, it runs shard 0 inline between the broadcast and the
-//! fold — one fewer park/wake cycle per round trip (decisive when the
-//! executors timeshare few cores) and overlapped compute on multicore
-//! hosts.
+//! H-tree. [`MatPool`] mirrors that shape with long-lived shard
+//! executors that each own a fixed contiguous shard of the range's mats
+//! for the duration of an extraction *session* (lease → descents →
+//! unlease). The controller drives them by broadcasting epoch-tagged
+//! requests over per-worker channels. The controller itself is shard
+//! executor 0 (**leader participation**): instead of blocking in `recv`
+//! while one more worker wakes, it runs shard 0 inline between the
+//! broadcast and the fold.
 //!
 //! # Protocol
 //!
@@ -24,88 +19,35 @@
 //!   forbids `unsafe`, so persistent threads cannot borrow chip state;
 //!   moving the ~40-byte `Mat` headers is cheap — the heap storage never
 //!   moves). Shards are contiguous and assigned in worker order.
-//! - **Descend** broadcasts one *whole bit-serial descent* (all
-//!   `plan.steps()` sense/exclude steps of one key) in a single message.
-//!   Each worker runs its shard's descent **speculatively** against its
-//!   local wire-OR view, recording a per-step `ShardTrace` (packed
-//!   signals, active-mat counts, local exclusion decisions, final
-//!   per-mat firsts and raw bits). The controller folds the traces in
-//!   worker index order — the fixed-order reduction that stands in for
-//!   the H-tree's wired OR nodes — reconstructing the exact global
-//!   decision sequence and every counter Sequential would produce, at
-//!   the cost of **one** broadcast→fold round trip per key instead of
-//!   one per bit.
-//! - **ReplaySuffix** re-runs one shard's descent from a fold point when
-//!   the shard's trace cannot serve the fold (it bailed early, or its
-//!   local decision contradicts the reconstructed global one). The
-//!   controller ships the authoritative decision prefix; the worker
-//!   re-arms from the membership vector, fast-forwards the prefix, and
-//!   speculates the suffix. Replay is bounded: each round extends the
-//!   agreed prefix by at least one step (see *Why speculation is exact*).
-//! - **Trace memoization** (batch extraction): a shard's trace is a pure
-//!   function of its stored keys, the membership restricted to the
-//!   shard, and the plan. Clearing one winner's membership bit dirties
-//!   exactly one shard, so consecutive descents re-speculate *only the
-//!   previous winner's shard* and fold everyone else's memoized trace —
-//!   per-key compute drops by roughly the shard count and untouched
-//!   workers are not even woken. Purity makes the cache hit
-//!   bit-identical to re-speculating; partial traces (bailed initial
-//!   runs, replayed suffixes) are never reused.
+//! - **Descend** ships one *whole bit-serial descent* in a single
+//!   message. Each worker speculates the named mats of its shard
+//!   (`descent::speculate`) and replies with their traces; the
+//!   controller folds all the span's traces in mat order
+//!   (`descent::fold`) — one round trip per key instead of one
+//!   per bit. With a shared membership vector the request also
+//!   re-latches the named mats' select windows first.
+//! - **Trace memoization** (batch extraction): the controller keeps each
+//!   mat's trace for the session. Clearing one winner's membership bit
+//!   dirties exactly one mat, so later descents wake only the worker
+//!   owning the previous winner's mat, and that worker re-speculates only
+//!   that mat (see the `descent` module for why reuse is exact).
+//! - **ReplaySuffix** re-runs named mats from a fold point when their
+//!   traces cannot serve the fold (they bailed under the force-replay
+//!   test knob); the controller ships the authoritative decision prefix.
 //! - **Sense/Exclude** remain as single-step messages for incremental
 //!   callers and the calibration pass.
 //! - **Rearm** re-latches every shard's select windows from a shared
-//!   membership bitmap (batch extraction). It is fire-and-forget: the
-//!   per-worker channel is FIFO, so the next reply-bearing request
-//!   doubles as its barrier.
+//!   membership bitmap. It is fire-and-forget: the per-worker channel is
+//!   FIFO, so the next reply-bearing request doubles as its barrier.
 //! - **Unlease** moves the mats back to the chip at session end.
 //!
 //! Every reply carries the epoch of the request that triggered it and
 //! the controller asserts the match, so a protocol desync (a lost or
-//! reordered reply) is loud, never silent corruption.
-//!
-//! # Why speculation is exact
-//!
-//! Invariant: at every fold step each shard is either **in-sync** (its
-//! local speculative select state equals the global surviving set
-//! restricted to the shard) or **dead** (that restriction is empty, and
-//! the controller ignores everything the shard reported after its death
-//! step). An in-sync shard's recorded signals are exactly its global
-//! contribution, so the fold's wired-OR is exact. At an exclusion step
-//! three cases exhaust an alive shard:
-//!
-//! * **Locally mixed** (both signals raised): exclusion is monotone —
-//!   `select &= col` depends only on the keep bit, and the shard's local
-//!   keep equals the global keep. For integer formats the keep bit is
-//!   signal-independent; for floats the only signal-derived input is the
-//!   sign-step survivor polarity, and an alive shard's local polarity
-//!   provably equals the global one (a shard whose polarity would differ
-//!   is uniform in the discarded sign and dies at the sign step). So the
-//!   shard's speculative exclusion removed exactly the global victims
-//!   inside the shard: still in-sync.
-//! * **Uniform in the kept bit**: neither the global nor the local step
-//!   removes anything from the shard: still in-sync.
-//! * **Uniform in the discarded bit**: globally every survivor in the
-//!   shard is removed — the shard **dies**. The controller accounts its
-//!   tracked remaining count as removed and masks all later trace data.
-//!   The worker's continued local descent is garbage but harmless:
-//!   every lease/rearm rebuilds select state from scratch.
-//!
-//! A *globally* uniform step raises the all-0-or-1 veto, and every alive
-//! shard saw a uniform (or silent) column too, so nobody excluded:
-//! in-sync. By induction the fold never observes a divergent alive
-//! shard, so replay never fires on the natural path — it exists as a
-//! defensive bound (and is exercised via the force-replay test knob).
-//! Each replay round re-syncs a shard to the full agreed prefix, which
-//! then grows by at least one step before that shard can lag again,
-//! so replays per descent are bounded by the step count.
-//!
-//! # Why counters are scheduling-invariant
-//!
-//! Traces are folded in worker order and both reductions (signal OR,
-//! active-mat / removed-row sums) are commutative over disjoint shards,
-//! so hits *and every [`crate::OpCounters`] field* derived from them are
-//! bit-identical to [`crate::ParallelPolicy::Sequential`] at any worker
-//! count. The differential suites assert exactly that.
+//! reordered reply) is loud, never silent corruption. Traces are folded
+//! in mat order whatever the shard split, so hits *and every
+//! [`crate::OpCounters`] field* are bit-identical to
+//! [`crate::ParallelPolicy::Sequential`] at any worker count. The
+//! differential suites assert exactly that.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, OnceLock};
@@ -114,6 +56,7 @@ use std::time::Instant;
 
 use crate::array::ColumnSignals;
 use crate::bitmap::Bitmap;
+use crate::descent::{self, exclude_mat, sense_mat, DescentOutcome, MatTrace, Prefix};
 use crate::mat::Mat;
 use crate::plan::SearchPlan;
 use crate::probe::SharedProbe;
@@ -140,32 +83,26 @@ enum Request {
     Sense { epoch: u64, pos: u16 },
     /// One exclusion step: latch the match vector for (`pos`, `keep`).
     Exclude { epoch: u64, pos: u16, keep: bool },
-    /// One whole bit-serial descent, run speculatively against the
-    /// shard's local wire-OR view. `bail_at` is the force-replay test
-    /// knob: stop speculating after that many steps so the controller
-    /// must exercise [`Request::ReplaySuffix`]. `rearm`, when set,
-    /// re-latches the shard's select windows from the membership vector
-    /// first — fusing what used to be a separate [`Request::Rearm`]
-    /// broadcast into the descent saves one park/wake cycle per
-    /// extraction, which matters when workers timeshare few cores.
+    /// Speculate the shard-local `mats` through a whole descent.
+    /// `bail_at` is the force-replay test knob. `rearm`, when set,
+    /// re-latches those mats' select windows from the membership vector
+    /// first.
     Descend {
         epoch: u64,
         plan: SearchPlan,
         bail_at: Option<u16>,
         rearm: Option<Arc<Bitmap>>,
+        mats: Vec<usize>,
     },
-    /// Re-run the shard's descent from step `resume`: re-arm from the
-    /// membership vector, fast-forward the authoritative decision prefix
-    /// (`decided`/`keeps` bits below `resume`), then speculate the
-    /// suffix with the given survivor polarity.
+    /// Re-run the shard-local `mats` from `prefix.resume`
+    /// ([`descent::replay`]).
     ReplaySuffix {
         epoch: u64,
         plan: SearchPlan,
         membership: Arc<Bitmap>,
-        decided: u64,
-        keeps: u64,
-        resume: u16,
+        prefix: Prefix,
         survivors_negative: bool,
+        mats: Vec<usize>,
     },
     /// Re-latch the shard's select windows from the membership vector.
     Rearm { membership: Arc<Bitmap> },
@@ -196,9 +133,10 @@ enum Reply {
         epoch: u64,
         raw: u64,
     },
-    Trace {
+    /// Traces of the requested mats, in request order.
+    Traces {
         epoch: u64,
-        trace: ShardTrace,
+        traces: Vec<MatTrace>,
     },
     Mats {
         epoch: u64,
@@ -217,237 +155,102 @@ struct Shard {
     mats: Vec<Option<Mat>>,
 }
 
-/// Everything one shard recorded while speculatively running a descent.
-///
-/// Per-step signals and decisions are bit-packed (bit `s` = step `s`;
-/// key widths never exceed 64 steps) so a whole descent's trace is a few
-/// words plus the per-step count vectors.
-struct ShardTrace {
-    /// Bit `s`: the shard's local `any_one` at step `s`.
-    any_one: u64,
-    /// Bit `s`: the shard's local `any_zero` at step `s`.
-    any_zero: u64,
-    /// Bit `s`: the shard applied a local exclusion at step `s`.
-    decided: u64,
-    /// Bit `s`: the keep bit the shard used where `decided` is set.
-    keeps: u64,
-    /// Mats with a nonempty selection at each step (indexed by step).
-    active: Vec<u64>,
-    /// Rows the shard's local exclusion removed at each step.
-    removed: Vec<u64>,
-    /// Selected rows in the shard when this run started.
-    initial_selected: u64,
-    /// First step this run covers (0 for an initial speculation, the
-    /// resume point for a replay — replay traces are *suffixes* and
-    /// must never be reused as whole-descent traces).
-    start: u16,
-    /// Steps covered: trace data is valid for steps `< ran` (a bailed
-    /// run under the force-replay knob covers fewer than `plan.steps()`).
-    ran: u16,
-    /// First selected slot per mat (shard-local mat order, mat-local
-    /// slot index) after the run.
-    firsts: Vec<Option<u32>>,
-    /// Raw bits of each mat's first selected slot (0 where none).
-    raws: Vec<u64>,
-}
-
-impl ShardTrace {
-    /// Whether this trace covers a whole descent from step 0 — the
-    /// precondition for memoized reuse. Bailed runs (force-replay knob)
-    /// and replayed suffixes are partial and must re-speculate.
-    fn is_full(&self, steps: u16) -> bool {
-        self.start == 0 && self.ran == steps
-    }
-}
-
 impl Shard {
-    fn selected_total(&self) -> u64 {
-        self.mats
-            .iter()
-            .flatten()
-            .map(|m| m.selected_count() as u64)
-            .sum()
+    /// Global slot of shard-local mat `i`'s first slot.
+    fn window(&self, i: usize) -> usize {
+        (self.base + i) * self.slots_per_mat
     }
 
-    /// Runs steps `[start, bail_at.unwrap_or(steps))` of `plan`
-    /// speculatively against the shard's local wire-OR view and records
-    /// the trace.
-    ///
-    /// The trace always covers every step up to the bail point, but the
-    /// worker stops *physically* stepping once its local set collapses
-    /// to at most one survivor: from there on no local exclusion can
-    /// fire (a singleton is all-same at every column and an empty shard
-    /// is silent), so the rest of the trace is fully determined by the
-    /// survivor's stored bits and is synthesized from one row read
-    /// instead of sensed column by column. This is what lets a pooled
-    /// descent do *less* total column work than the sequential walk —
-    /// each shard's local collapse (`log2(shard keys)` steps) comes
-    /// earlier than the global one.
-    fn speculate(
-        &mut self,
-        plan: &SearchPlan,
-        start: u16,
-        mut survivors_negative: bool,
-        bail_at: Option<u16>,
-    ) -> ShardTrace {
-        let steps = plan.steps();
-        let stop = bail_at.unwrap_or(steps).min(steps);
-        let mut trace = ShardTrace {
-            any_one: 0,
-            any_zero: 0,
-            decided: 0,
-            keeps: 0,
-            active: vec![0; steps as usize],
-            removed: vec![0; steps as usize],
-            initial_selected: self.selected_total(),
-            start,
-            ran: stop,
-            firsts: Vec::with_capacity(self.mats.len()),
-            raws: Vec::with_capacity(self.mats.len()),
-        };
-        let mut running = trace.initial_selected;
-        let mut resume = stop;
-        for step in start..stop {
-            if running <= 1 {
-                resume = step;
-                break;
-            }
-            let pos = plan.position(step);
-            let mut signals = ColumnSignals::default();
-            let mut active = 0u64;
-            for mat in self.mats.iter().flatten() {
-                if mat.selected_count() == 0 {
-                    continue;
-                }
+    fn sense(&self, pos: u16) -> (ColumnSignals, u64) {
+        let mut signals = ColumnSignals::default();
+        let mut active = 0u64;
+        for mat in self.mats.iter().flatten() {
+            if mat.selected_count() > 0 {
                 active += 1;
                 signals.merge(sense_mat(mat, pos, self.scalar));
             }
-            trace.active[step as usize] = active;
-            if signals.any_one {
-                trace.any_one |= 1 << step;
-            }
-            if signals.any_zero {
-                trace.any_zero |= 1 << step;
-            }
-            if plan.is_sign_step(step) {
-                survivors_negative = plan.survivors_negative(signals.any_one, signals.any_zero);
-            }
-            if !signals.all_same() {
-                let keep = plan.keep_bit(step, survivors_negative);
-                let mut removed = 0u64;
-                for mat in self.mats.iter_mut().flatten() {
-                    if mat.selected_count() == 0 {
-                        continue;
-                    }
-                    removed += exclude_mat(mat, pos, keep, self.scalar);
-                }
-                trace.decided |= 1 << step;
-                if keep {
-                    trace.keeps |= 1 << step;
-                }
-                trace.removed[step as usize] = removed;
-                running -= removed;
-            }
         }
-        if resume < stop {
-            // Local collapse: synthesize the remaining steps. A lone
-            // survivor senses its own stored bit at every column (the
-            // column shadow is the row transposed, faults included) and
-            // never triggers an exclusion; a dead shard is silent. Both
-            // are exactly what physical stepping would record, at the
-            // cost of one row read.
-            let survivor = self.mats.iter().flatten().find_map(|mat| {
-                let slot = mat.first_selected()?;
-                Some(mat.read_slot(slot))
-            });
-            if let Some(raw) = survivor {
-                for step in resume..stop {
-                    if raw >> plan.position(step) & 1 == 1 {
-                        trace.any_one |= 1 << step;
-                    } else {
-                        trace.any_zero |= 1 << step;
-                    }
-                    trace.active[step as usize] = 1;
-                }
-            }
-        }
-        for mat in &self.mats {
-            let first = mat.as_ref().and_then(Mat::first_selected);
-            trace.raws.push(match (first, mat) {
-                (Some(slot), Some(mat)) => mat.read_slot(slot),
-                _ => 0,
-            });
-            trace.firsts.push(first);
-        }
-        trace
+        (signals, active)
     }
 
-    /// Re-arms the shard from the membership vector and fast-forwards
-    /// the authoritative exclusion prefix (steps below `resume`).
-    fn rewind_to(&mut self, membership: &Bitmap, plan: &SearchPlan, prefix: Prefix) {
-        let (base, slots, scalar) = (self.base, self.slots_per_mat, self.scalar);
-        for (offset, mat) in self.mats.iter_mut().enumerate() {
-            if let Some(mat) = mat {
-                mat.load_select_window(membership, (base + offset) * slots);
-            }
-        }
-        for step in 0..prefix.resume {
-            if prefix.decided >> step & 1 == 0 {
-                continue;
-            }
-            let pos = plan.position(step);
-            let keep = prefix.keeps >> step & 1 == 1;
-            for mat in self.mats.iter_mut().flatten() {
-                if mat.selected_count() == 0 {
-                    continue;
-                }
-                exclude_mat(mat, pos, keep, scalar);
+    fn exclude(&mut self, pos: u16, keep: bool) -> u64 {
+        let scalar = self.scalar;
+        self.mats
+            .iter_mut()
+            .flatten()
+            .filter(|mat| mat.selected_count() > 0)
+            .map(|mat| exclude_mat(mat, pos, keep, scalar))
+            .sum()
+    }
+
+    fn rearm(&mut self, membership: &Bitmap) {
+        for i in 0..self.mats.len() {
+            let window = self.window(i);
+            if let Some(mat) = &mut self.mats[i] {
+                mat.load_select_window(membership, window);
             }
         }
     }
-}
 
-/// The authoritative decision prefix shipped with a replay.
-#[derive(Clone, Copy)]
-struct Prefix {
-    decided: u64,
-    keeps: u64,
-    resume: u16,
-}
-
-/// What changed in the session's membership since the previous
-/// [`MatPool::descend`] — the key to per-shard trace memoization.
-///
-/// A shard's speculative trace is a pure function of (stored keys, the
-/// membership restricted to the shard, the plan). Batch extraction
-/// clears exactly one membership bit per hit, so between consecutive
-/// descents only the winner's shard changes: every other shard's trace
-/// from the previous round is *still exact* and the controller reuses
-/// it without waking the worker at all.
-pub(crate) enum Dirty<'a> {
-    /// Treat every shard as changed (first descent of a batch, or any
-    /// path that rebuilt membership wholesale).
-    All,
-    /// Only these global slots were cleared from the membership.
-    Slots(&'a [u64]),
-}
-
-fn sense_mat(mat: &Mat, pos: u16, scalar: bool) -> ColumnSignals {
-    #[cfg(any(test, feature = "scalar-oracle"))]
-    if scalar {
-        return mat.sense_column_scalar(pos);
+    /// Speculates shard-local mat `i` (re-latched from `rearm` first when
+    /// given).
+    fn descend(
+        &mut self,
+        i: usize,
+        plan: &SearchPlan,
+        rearm: Option<&Bitmap>,
+        bail_at: Option<u16>,
+    ) -> MatTrace {
+        let (window, scalar) = (self.window(i), self.scalar);
+        let mat = self.mats[i]
+            .as_mut()
+            .expect("descended spans are materialized");
+        if let Some(membership) = rearm {
+            mat.load_select_window(membership, window);
+        }
+        descent::speculate(mat, scalar, plan, 0, false, bail_at)
     }
-    let _ = scalar;
-    mat.sense_column(pos)
+
+    fn replay(
+        &mut self,
+        i: usize,
+        plan: &SearchPlan,
+        membership: &Bitmap,
+        prefix: Prefix,
+        survivors_negative: bool,
+    ) -> MatTrace {
+        let (window, scalar) = (self.window(i), self.scalar);
+        let mat = self.mats[i]
+            .as_mut()
+            .expect("replayed mats hold a selection");
+        descent::replay(
+            mat,
+            scalar,
+            plan,
+            membership,
+            window,
+            prefix,
+            survivors_negative,
+        )
+    }
+
+    fn firsts(&self) -> Vec<Option<u32>> {
+        self.mats
+            .iter()
+            .map(|m| m.as_ref().and_then(Mat::first_selected))
+            .collect()
+    }
+
+    fn read_slot(&self, mat: usize, slot: u32) -> u64 {
+        self.mats[mat]
+            .as_ref()
+            .expect("winning mat is materialized")
+            .read_slot(slot)
+    }
 }
 
-fn exclude_mat(mat: &mut Mat, pos: u16, keep: bool, scalar: bool) -> u64 {
-    #[cfg(any(test, feature = "scalar-oracle"))]
-    if scalar {
-        return mat.apply_exclusion_scalar(pos, keep) as u64;
-    }
-    let _ = scalar;
-    mat.apply_exclusion(pos, keep) as u64
+fn leased(shard: &mut Option<Shard>) -> &mut Shard {
+    shard.as_mut().expect("pool protocol desync: no lease")
 }
 
 /// Worker body: block on the request channel until the pool drops it.
@@ -485,16 +288,7 @@ fn worker_loop(rx: Receiver<Request>, tx: Sender<Reply>) {
                 true
             }
             Request::Sense { epoch, pos } => {
-                let s = shard.as_ref().expect("pool protocol desync: no lease");
-                let mut signals = ColumnSignals::default();
-                let mut active = 0u64;
-                for mat in s.mats.iter().flatten() {
-                    if mat.selected_count() == 0 {
-                        continue;
-                    }
-                    active += 1;
-                    signals.merge(sense_mat(mat, pos, s.scalar));
-                }
+                let (signals, active) = leased(&mut shard).sense(pos);
                 tx.send(Reply::Signals {
                     epoch,
                     signals,
@@ -503,14 +297,7 @@ fn worker_loop(rx: Receiver<Request>, tx: Sender<Reply>) {
                 .is_ok()
             }
             Request::Exclude { epoch, pos, keep } => {
-                let s = shard.as_mut().expect("pool protocol desync: no lease");
-                let mut removed = 0u64;
-                for mat in s.mats.iter_mut().flatten() {
-                    if mat.selected_count() == 0 {
-                        continue;
-                    }
-                    removed += exclude_mat(mat, pos, keep, s.scalar);
-                }
+                let removed = leased(&mut shard).exclude(pos, keep);
                 tx.send(Reply::Removed { epoch, removed }).is_ok()
             }
             Request::Descend {
@@ -518,72 +305,46 @@ fn worker_loop(rx: Receiver<Request>, tx: Sender<Reply>) {
                 plan,
                 bail_at,
                 rearm,
+                mats,
             } => {
-                let s = shard.as_mut().expect("pool protocol desync: no lease");
-                if let Some(membership) = rearm {
-                    for (offset, mat) in s.mats.iter_mut().enumerate() {
-                        if let Some(mat) = mat {
-                            mat.load_select_window(
-                                &membership,
-                                (s.base + offset) * s.slots_per_mat,
-                            );
-                        }
-                    }
-                    // Drop before replying so the controller's
-                    // `Arc::make_mut` after the fold mutates in place.
-                    drop(membership);
-                }
-                let trace = s.speculate(&plan, 0, false, bail_at);
-                tx.send(Reply::Trace { epoch, trace }).is_ok()
+                let s = leased(&mut shard);
+                let traces = mats
+                    .iter()
+                    .map(|&i| s.descend(i, &plan, rearm.as_deref(), bail_at))
+                    .collect();
+                // Drop before replying so the controller's
+                // `Arc::make_mut` after the fold mutates in place.
+                drop(rearm);
+                tx.send(Reply::Traces { epoch, traces }).is_ok()
             }
             Request::ReplaySuffix {
                 epoch,
                 plan,
                 membership,
-                decided,
-                keeps,
-                resume,
+                prefix,
                 survivors_negative,
+                mats,
             } => {
-                let s = shard.as_mut().expect("pool protocol desync: no lease");
-                s.rewind_to(
-                    &membership,
-                    &plan,
-                    Prefix {
-                        decided,
-                        keeps,
-                        resume,
-                    },
-                );
-                let trace = s.speculate(&plan, resume, survivors_negative, None);
-                tx.send(Reply::Trace { epoch, trace }).is_ok()
+                let s = leased(&mut shard);
+                let traces = mats
+                    .iter()
+                    .map(|&i| s.replay(i, &plan, &membership, prefix, survivors_negative))
+                    .collect();
+                drop(membership);
+                tx.send(Reply::Traces { epoch, traces }).is_ok()
             }
             Request::Rearm { membership } => {
-                let s = shard.as_mut().expect("pool protocol desync: no lease");
-                for (offset, mat) in s.mats.iter_mut().enumerate() {
-                    if let Some(mat) = mat {
-                        mat.load_select_window(&membership, (s.base + offset) * s.slots_per_mat);
-                    }
-                }
                 // `membership` drops here: the worker keeps no reference,
                 // so the controller's `Arc::make_mut` stays in place.
+                leased(&mut shard).rearm(&membership);
                 true
             }
             Request::FirstSelected { epoch } => {
-                let s = shard.as_ref().expect("pool protocol desync: no lease");
-                let firsts = s
-                    .mats
-                    .iter()
-                    .map(|m| m.as_ref().and_then(Mat::first_selected))
-                    .collect();
+                let firsts = leased(&mut shard).firsts();
                 tx.send(Reply::Firsts { epoch, firsts }).is_ok()
             }
             Request::ReadSlot { epoch, mat, slot } => {
-                let s = shard.as_ref().expect("pool protocol desync: no lease");
-                let raw = s.mats[mat]
-                    .as_ref()
-                    .expect("winning mat is materialized")
-                    .read_slot(slot);
+                let raw = leased(&mut shard).read_slot(mat, slot);
                 tx.send(Reply::Raw { epoch, raw }).is_ok()
             }
             Request::Unlease { epoch } => {
@@ -626,11 +387,21 @@ impl Worker {
     fn recv(&self) -> Reply {
         self.rx.recv().expect("pool worker exited unexpectedly")
     }
+
+    /// Receives the reply to a `Descend`/`ReplaySuffix` of `epoch`.
+    fn recv_traces(&self, epoch: u64) -> Vec<MatTrace> {
+        match self.recv() {
+            Reply::Traces { epoch: e, traces } => {
+                assert_eq!(e, epoch, "pool protocol desync");
+                traces
+            }
+            _ => panic!("pool protocol desync: unexpected reply"),
+        }
+    }
 }
 
 /// While leased: how the span is sharded across the shard executors
-/// (shard lengths in executor order, used to target `ReadSlot` and map
-/// dirty slots to their owning shard) and, for timed sessions, when the
+/// (shard lengths in executor order) and, for timed sessions, when the
 /// session opened.
 struct LeaseInfo {
     shard_lens: Vec<usize>,
@@ -642,16 +413,27 @@ struct LeaseInfo {
 }
 
 impl LeaseInfo {
-    /// Shard executor owning the given global slot.
-    fn shard_of_slot(&self, slot: u64) -> usize {
-        let mut mat = (slot as usize / self.slots_per_mat).saturating_sub(self.base);
-        for (i, &len) in self.shard_lens.iter().enumerate() {
+    /// Shard executor owning span mat `mat`, and the mat's index inside
+    /// that shard.
+    fn owner(&self, mut mat: usize) -> (usize, usize) {
+        for (shard, &len) in self.shard_lens.iter().enumerate() {
             if mat < len {
-                return i;
+                return (shard, mat);
             }
             mat -= len;
         }
-        self.shard_lens.len().saturating_sub(1)
+        panic!("mat outside the leased span");
+    }
+
+    /// Groups span mats by owning shard: `out[shard]` lists shard-local
+    /// indices, ascending when `mats` is.
+    fn by_shard(&self, mats: impl IntoIterator<Item = usize>) -> Vec<Vec<usize>> {
+        let mut out = vec![Vec::new(); self.shard_lens.len()];
+        for mat in mats {
+            let (shard, local) = self.owner(mat);
+            out[shard].push(local);
+        }
+        out
     }
 }
 
@@ -666,46 +448,31 @@ pub struct MatPool {
     workers: Vec<Worker>,
     /// Shard 0, leader-resident: the controller thread participates in
     /// every broadcast instead of blocking in `recv` while an extra
-    /// worker wakes. This removes one park/wake cycle per round trip
-    /// (decisive when workers timeshare few cores) and overlaps the
-    /// leader's shard with the workers' on multicore hosts.
+    /// worker wakes.
     local: Option<Shard>,
     /// Wall time the leader spent on shard-0 work this session (timed
     /// sessions only; reported as worker 0 at unlease).
     local_busy_ns: u64,
     epoch: u64,
     lease: Option<LeaseInfo>,
-    /// Memoized per-shard traces from this session's previous descend
-    /// (empty until one completes). Valid per shard while the membership
-    /// restricted to that shard is untouched — see [`Dirty`].
-    cache: Vec<ShardTrace>,
-    /// The plan the cached traces were speculated under.
-    cache_plan: Option<SearchPlan>,
+    /// This session's memoized trace per span mat (invalid entries are
+    /// re-speculated by the next descend).
+    cache: Vec<MatTrace>,
     /// Session observer (set by the owning chip before each lease).
     probe: Option<SharedProbe>,
-    /// Force-replay test knob: workers bail out of the *initial*
-    /// speculation after this many steps, so the fold must exercise the
-    /// replay path. Replayed runs always complete.
+    /// Force-replay test knob: initial speculations bail after this many
+    /// steps, so the fold must exercise the replay path.
     force_replay: Option<u16>,
 }
 
-/// What a folded descent produced — exactly the shape the chip needs to
-/// reconstruct Sequential's counters and probe stream for one key.
-pub(crate) struct DescentOutcome {
-    /// Column-search steps the global descent executed.
-    pub steps_executed: u16,
-    /// Active (nonempty-selection) mat senses summed over those steps.
-    pub mat_searches: u64,
-    /// Rows removed by each exclusion, in step order (one entry per
-    /// exclusion the global descent performed).
-    pub removed_per_step: Vec<u64>,
-    /// First selected slot per mat across the whole span, in span order
-    /// (dead shards masked to `None`).
-    pub firsts: Vec<Option<u32>>,
-    /// Raw bits of each mat's first selected slot (0 where none).
-    pub raws: Vec<u64>,
-    /// Replay rounds the fold needed (0 on the natural path).
-    pub replays: u64,
+/// What changed in the session's membership since the previous
+/// [`MatPool::descend`] — the key to per-mat trace memoization.
+pub(crate) enum Dirty<'a> {
+    /// Treat every mat as changed (first descent of a batch, or any
+    /// path that rebuilt membership wholesale).
+    All,
+    /// Only these global slots were cleared from the membership.
+    Slots(&'a [u64]),
 }
 
 impl std::fmt::Debug for MatPool {
@@ -759,7 +526,6 @@ impl MatPool {
             epoch: 0,
             lease: None,
             cache: Vec::new(),
-            cache_plan: None,
             probe: None,
             force_replay: None,
         }
@@ -783,12 +549,10 @@ impl MatPool {
     pub fn set_force_replay(&mut self, limit: Option<u16>) {
         self.force_replay = limit;
         self.cache.clear();
-        self.cache_plan = None;
     }
 
     /// Installs (or removes) the session observer. Timed sessions read
-    /// clocks worker-side; with no probe the pool takes the pre-PR-5
-    /// clock-free path.
+    /// clocks worker-side; with no probe the pool reads no clocks.
     pub fn set_probe(&mut self, probe: Option<SharedProbe>) {
         self.probe = probe;
     }
@@ -886,7 +650,6 @@ impl MatPool {
             None
         };
         self.cache.clear();
-        self.cache_plan = None;
         self.lease = Some(LeaseInfo {
             shard_lens: shard_lens.to_vec(),
             base,
@@ -902,7 +665,6 @@ impl MatPool {
     pub fn unlease(&mut self) -> Vec<Option<Mat>> {
         let lease = self.lease.take().expect("no pool session open");
         self.cache.clear();
-        self.cache_plan = None;
         let epoch = self.next_epoch();
         for worker in &self.workers {
             worker.send(Request::Unlease { epoch });
@@ -958,18 +720,8 @@ impl MatPool {
         }
         let timed = self.timed();
         let local = self.local.as_ref().expect("no pool session open");
-        let (mut global, mut active) = local_timed(timed, &mut self.local_busy_ns, || {
-            let mut signals = ColumnSignals::default();
-            let mut active = 0u64;
-            for mat in local.mats.iter().flatten() {
-                if mat.selected_count() == 0 {
-                    continue;
-                }
-                active += 1;
-                signals.merge(sense_mat(mat, pos, local.scalar));
-            }
-            (signals, active)
-        });
+        let (mut global, mut active) =
+            local_timed(timed, &mut self.local_busy_ns, || local.sense(pos));
         for worker in &self.workers {
             match worker.recv() {
                 Reply::Signals {
@@ -998,16 +750,7 @@ impl MatPool {
         }
         let timed = self.timed();
         let local = self.local.as_mut().expect("no pool session open");
-        let mut removed = local_timed(timed, &mut self.local_busy_ns, || {
-            let mut removed = 0u64;
-            for mat in local.mats.iter_mut().flatten() {
-                if mat.selected_count() == 0 {
-                    continue;
-                }
-                removed += exclude_mat(mat, pos, keep, local.scalar);
-            }
-            removed
-        });
+        let mut removed = local_timed(timed, &mut self.local_busy_ns, || local.exclude(pos, keep));
         for worker in &self.workers {
             match worker.recv() {
                 Reply::Removed {
@@ -1025,28 +768,23 @@ impl MatPool {
     }
 
     /// Runs one whole bit-serial descent in a single broadcast→fold
-    /// round trip: every worker speculates its shard's descent locally,
-    /// and the controller folds the recorded traces in worker order into
-    /// the exact global decision sequence (see the module docs for why
-    /// the fold is exact and when it replays).
+    /// round trip: the shard executors speculate their stale mats and
+    /// the controller folds every mat's trace in span order
+    /// ([`descent::fold`]).
     ///
-    /// `rearm`, when set, re-latches every *stale* shard's select
-    /// windows from the shared membership vector before speculating —
-    /// the fused form of [`MatPool::rearm`] + descend (one wake cycle
-    /// per worker instead of two).
+    /// `rearm`, when set, re-latches each stale mat's select window from
+    /// the shared membership vector before it speculates.
     ///
     /// `dirty` names the membership slots cleared since the previous
-    /// descend of this session. Shards untouched by them reuse their
-    /// memoized trace from that descend — a pure-function cache hit, so
-    /// the fold's inputs (and therefore hits and every counter) are
-    /// bit-identical to re-speculating — and their workers are not woken
-    /// at all. Memoization requires the shared-membership path (`rearm`
-    /// set); with `rearm == None` the select state is host-loaded and
-    /// every shard runs fresh.
+    /// descend of this session. Mats untouched by them reuse their
+    /// memoized trace, and workers owning only such mats are not woken.
+    /// Memoization requires the shared-membership path (`rearm` set);
+    /// with `rearm == None` the select state is host-loaded and every
+    /// mat runs fresh.
     ///
     /// `membership` lazily materializes the span's select membership
     /// (global slot indexing) — it is only invoked if a replay must
-    /// re-arm a shard, which never happens on the natural path.
+    /// re-arm a mat, which never happens on the natural path.
     pub(crate) fn descend(
         &mut self,
         plan: &SearchPlan,
@@ -1055,339 +793,124 @@ impl MatPool {
         membership: &mut dyn FnMut() -> Arc<Bitmap>,
     ) -> DescentOutcome {
         let started = self.step_start();
-        let shards = self.workers();
-        let cached = rearm.is_some()
-            && self.cache.len() == shards
-            && self.cache_plan.as_ref() == Some(plan)
-            && matches!(dirty, Dirty::Slots(_));
-        let stale: Vec<bool> = if cached {
-            let lease = self.lease.as_ref().expect("no pool session open");
-            // Partial traces (bailed under the force-replay knob, or
-            // replayed suffixes) never stand in for a whole descent.
-            let mut stale: Vec<bool> = self
-                .cache
-                .iter()
-                .map(|t| !t.is_full(plan.steps()))
-                .collect();
-            if let Dirty::Slots(slots) = dirty {
+        let lease = self.lease.take().expect("no pool session open");
+        let span: usize = lease.shard_lens.iter().sum();
+        let mut traces = std::mem::take(&mut self.cache);
+        match dirty {
+            Dirty::Slots(slots) if rearm.is_some() && traces.len() == span => {
                 for &slot in slots {
-                    stale[lease.shard_of_slot(slot)] = true;
+                    traces[slot as usize / lease.slots_per_mat - lease.base].invalidate();
                 }
             }
-            stale
-        } else {
-            vec![true; shards]
-        };
-        if let Some(p) = &self.probe {
-            // Wake accounting: workers whose shard is clean are answered
-            // from the memoized trace and never receive a request. The
-            // leader's shard 0 counts as memoized but never as woken (it
-            // runs inline, not on a parked worker).
-            let woken = stale.iter().skip(1).filter(|&&s| s).count();
-            let memoized = stale.iter().filter(|&&s| !s).count();
-            p.pool_descend(woken, memoized);
+            _ => traces = vec![MatTrace::silent(0, 0); span],
         }
+        let stale: Vec<usize> = (0..span)
+            .filter(|&i| !traces[i].is_full(plan.steps()))
+            .collect();
+        if let Some(p) = &self.probe {
+            p.memo_descend(stale.len(), span - stale.len());
+        }
+        let work = lease.by_shard(stale.iter().copied());
         let epoch = self.next_epoch();
         let bail_at = self.force_replay;
-        for (w, worker) in self.workers.iter().enumerate() {
-            if stale[w + 1] {
+        for (worker, mats) in self.workers.iter().zip(&work[1..]) {
+            if !mats.is_empty() {
                 worker.send(Request::Descend {
                     epoch,
                     plan: *plan,
                     bail_at,
                     rearm: rearm.map(Arc::clone),
+                    mats: mats.clone(),
                 });
             }
         }
-        // Leader runs shard 0 while the workers speculate theirs: on one
-        // core this removes a park/wake cycle, on many it overlaps.
-        let mut traces = std::mem::take(&mut self.cache);
-        if !cached {
-            traces.clear();
-        }
-        if stale[0] {
-            let timed = self.timed();
-            let local = self.local.as_mut().expect("no pool session open");
-            let local_trace = local_timed(timed, &mut self.local_busy_ns, || {
-                if let Some(membership) = rearm {
-                    for (offset, mat) in local.mats.iter_mut().enumerate() {
-                        if let Some(mat) = mat {
-                            mat.load_select_window(
-                                membership,
-                                (local.base + offset) * local.slots_per_mat,
-                            );
-                        }
-                    }
+        // The leader speculates shard 0 while the workers run theirs.
+        let timed = lease.started.is_some();
+        let local = self.local.as_mut().expect("no pool session open");
+        let leader: Vec<MatTrace> = local_timed(timed, &mut self.local_busy_ns, || {
+            work[0]
+                .iter()
+                .map(|&i| local.descend(i, plan, rearm.map(|m| &**m), bail_at))
+                .collect()
+        });
+        // Each shard's traces come back in the order its mats were named.
+        let replies = std::iter::once(leader).chain(self.workers.iter().zip(&work[1..]).map(
+            |(worker, mats)| {
+                if mats.is_empty() {
+                    Vec::new()
+                } else {
+                    worker.recv_traces(epoch)
                 }
-                local.speculate(plan, 0, false, bail_at)
-            });
-            if cached {
-                traces[0] = local_trace;
-            } else {
-                traces.push(local_trace);
+            },
+        ));
+        let mut offset = 0;
+        for ((mats, &len), fresh) in work.iter().zip(&lease.shard_lens).zip(replies) {
+            for (&local_mat, trace) in mats.iter().zip(fresh) {
+                traces[offset + local_mat] = trace;
             }
+            offset += len;
         }
-        for (w, worker) in self.workers.iter().enumerate() {
-            if !stale[w + 1] {
-                continue;
-            }
-            match worker.recv() {
-                Reply::Trace { epoch: e, trace } => {
-                    assert_eq!(e, epoch, "pool protocol desync");
-                    if cached {
-                        traces[w + 1] = trace;
-                    } else {
-                        traces.push(trace);
-                    }
-                }
-                _ => panic!("pool protocol desync: unexpected reply"),
-            }
-        }
-        let outcome = self.fold(plan, &mut traces, membership);
+        self.lease = Some(lease);
+        let mut replay_membership: Option<Arc<Bitmap>> = None;
+        let outcome = descent::fold(plan, &mut traces, &mut |targets, prefix, sv, traces| {
+            let membership = Arc::clone(replay_membership.get_or_insert_with(&mut *membership));
+            self.replay(plan, &membership, targets, prefix, sv, traces);
+        });
         self.cache = traces;
-        self.cache_plan = Some(*plan);
         self.step_done(started);
         outcome
     }
 
-    /// Folds per-shard traces into the global descent, replaying shards
-    /// whose traces cannot serve the fold (bailed early or divergent).
-    fn fold(
-        &mut self,
-        plan: &SearchPlan,
-        traces: &mut [ShardTrace],
-        membership: &mut dyn FnMut() -> Arc<Bitmap>,
-    ) -> DescentOutcome {
-        let steps = plan.steps();
-        let shards = traces.len();
-        let mut alive: Vec<bool> = traces.iter().map(|t| t.initial_selected > 0).collect();
-        let mut remaining: Vec<u64> = traces.iter().map(|t| t.initial_selected).collect();
-        let mut selected: u64 = remaining.iter().sum();
-        let mut survivors_negative = false;
-        let mut decided = 0u64;
-        let mut keeps = 0u64;
-        let mut cached: Option<Arc<Bitmap>> = None;
-        let mut outcome = DescentOutcome {
-            steps_executed: 0,
-            mat_searches: 0,
-            removed_per_step: Vec::new(),
-            firsts: Vec::new(),
-            raws: Vec::new(),
-            replays: 0,
-        };
-        let mut step: u16 = 0;
-        while step < steps {
-            if selected <= 1 {
-                break;
-            }
-            // Coverage: a bailed shard's trace ends before the fold point.
-            let lagging: Vec<usize> = (0..shards)
-                .filter(|&i| alive[i] && traces[i].ran <= step)
-                .collect();
-            if !lagging.is_empty() {
-                outcome.replays += 1;
-                assert!(
-                    outcome.replays <= 2 * steps as u64 + 2,
-                    "pool replay failed to converge"
-                );
-                let prefix = Prefix {
-                    decided,
-                    keeps,
-                    resume: step,
-                };
-                self.replay(
-                    plan,
-                    traces,
-                    &lagging,
-                    prefix,
-                    survivors_negative,
-                    membership,
-                    &mut cached,
-                    &remaining,
-                );
-                continue;
-            }
-            // Tentative wired-OR fold at this step (committed only once
-            // no shard needs a replay).
-            let bit = 1u64 << step;
-            let mut global = ColumnSignals::default();
-            let mut active = 0u64;
-            for i in 0..shards {
-                if !alive[i] {
-                    continue;
-                }
-                global.any_one |= traces[i].any_one & bit != 0;
-                global.any_zero |= traces[i].any_zero & bit != 0;
-                active += traces[i].active[step as usize];
-            }
-            let sv_next = if plan.is_sign_step(step) {
-                plan.survivors_negative(global.any_one, global.any_zero)
-            } else {
-                survivors_negative
-            };
-            let excluded = !global.all_same();
-            let mut keep = false;
-            let mut removed = 0u64;
-            let mut deaths: Vec<usize> = Vec::new();
-            if excluded {
-                keep = plan.keep_bit(step, sv_next);
-                let mut divergent: Vec<usize> = Vec::new();
-                for i in 0..shards {
-                    if !alive[i] {
-                        continue;
-                    }
-                    let local_one = traces[i].any_one & bit != 0;
-                    let local_zero = traces[i].any_zero & bit != 0;
-                    if local_one && local_zero {
-                        // Locally mixed: the shard speculated an
-                        // exclusion; it must match the global decision.
-                        let agreed =
-                            traces[i].decided & bit != 0 && (traces[i].keeps & bit != 0) == keep;
-                        if agreed {
-                            removed += traces[i].removed[step as usize];
-                        } else {
-                            divergent.push(i);
-                        }
-                    } else if local_one || local_zero {
-                        // Uniform: nothing removed locally. If uniform
-                        // in the discarded bit, the whole shard dies.
-                        if local_one != keep {
-                            deaths.push(i);
-                            removed += remaining[i];
-                        }
-                    } else {
-                        // An alive shard with a silent column is out of
-                        // sync with the tracked remaining count.
-                        divergent.push(i);
-                    }
-                }
-                if !divergent.is_empty() {
-                    outcome.replays += 1;
-                    assert!(
-                        outcome.replays <= 2 * steps as u64 + 2,
-                        "pool replay failed to converge"
-                    );
-                    let prefix = Prefix {
-                        decided,
-                        keeps,
-                        resume: step,
-                    };
-                    self.replay(
-                        plan,
-                        traces,
-                        &divergent,
-                        prefix,
-                        survivors_negative,
-                        membership,
-                        &mut cached,
-                        &remaining,
-                    );
-                    continue;
-                }
-            }
-            // Commit the step.
-            outcome.steps_executed += 1;
-            outcome.mat_searches += active;
-            survivors_negative = sv_next;
-            if excluded {
-                decided |= bit;
-                if keep {
-                    keeps |= bit;
-                }
-                outcome.removed_per_step.push(removed);
-                selected -= removed;
-                for &i in &deaths {
-                    alive[i] = false;
-                }
-                for i in 0..shards {
-                    if alive[i] && traces[i].decided & bit != 0 {
-                        remaining[i] -= traces[i].removed[step as usize];
-                    }
-                }
-            }
-            step += 1;
-        }
-        // Overlay per-mat firsts/raws in span order, masking dead shards
-        // (their local select state is speculative garbage).
-        for (trace, &ok) in traces.iter().zip(&alive) {
-            if ok {
-                outcome.firsts.extend_from_slice(&trace.firsts);
-                outcome.raws.extend_from_slice(&trace.raws);
-            } else {
-                let (nf, nr) = (outcome.firsts.len(), outcome.raws.len());
-                outcome.firsts.resize(nf + trace.firsts.len(), None);
-                outcome.raws.resize(nr + trace.raws.len(), 0);
-            }
-        }
-        outcome
-    }
-
-    /// Replays the targeted shards from `prefix.resume`, substituting
-    /// their traces.
-    #[allow(clippy::too_many_arguments)]
+    /// Replays the `targets` mats from `prefix.resume` on their owning
+    /// shard executors, substituting their traces.
     fn replay(
         &mut self,
         plan: &SearchPlan,
-        traces: &mut [ShardTrace],
+        membership: &Arc<Bitmap>,
         targets: &[usize],
         prefix: Prefix,
         survivors_negative: bool,
-        membership: &mut dyn FnMut() -> Arc<Bitmap>,
-        cached: &mut Option<Arc<Bitmap>>,
-        remaining: &[u64],
+        traces: &mut [MatTrace],
     ) {
-        let replay_started = self.probe.as_ref().map(|_| Instant::now());
-        let membership = Arc::clone(cached.get_or_insert_with(&mut *membership));
+        let replay_started = self.step_start();
+        let lease = self.lease.as_ref().expect("no pool session open");
+        let work = lease.by_shard(targets.iter().copied());
         let epoch = self.next_epoch();
-        for &i in targets {
-            if i == 0 {
-                continue;
+        for (worker, mats) in self.workers.iter().zip(&work[1..]) {
+            if !mats.is_empty() {
+                worker.send(Request::ReplaySuffix {
+                    epoch,
+                    plan: *plan,
+                    membership: Arc::clone(membership),
+                    prefix,
+                    survivors_negative,
+                    mats: mats.clone(),
+                });
             }
-            self.workers[i - 1].send(Request::ReplaySuffix {
-                epoch,
-                plan: *plan,
-                membership: Arc::clone(&membership),
-                decided: prefix.decided,
-                keeps: prefix.keeps,
-                resume: prefix.resume,
-                survivors_negative,
-            });
         }
-        for &i in targets {
-            let trace = if i == 0 {
-                // Leader replays its own shard (targets are ascending,
-                // so this overlaps with the workers' replays).
-                let timed = self.timed();
-                let local = self.local.as_mut().expect("no pool session open");
-                local_timed(timed, &mut self.local_busy_ns, || {
-                    local.rewind_to(&membership, plan, prefix);
-                    local.speculate(plan, prefix.resume, survivors_negative, None)
-                })
-            } else {
-                match self.workers[i - 1].recv() {
-                    Reply::Trace { epoch: e, trace } => {
-                        assert_eq!(e, epoch, "pool protocol desync");
-                        trace
-                    }
-                    _ => panic!("pool protocol desync: unexpected reply"),
-                }
-            };
-            debug_assert_eq!(
-                trace.initial_selected, remaining[i],
-                "replayed shard disagrees with tracked remaining"
-            );
+        let timed = self.timed();
+        let local = self.local.as_mut().expect("no pool session open");
+        let mut fresh: Vec<MatTrace> = local_timed(timed, &mut self.local_busy_ns, || {
+            work[0]
+                .iter()
+                .map(|&i| local.replay(i, plan, membership, prefix, survivors_negative))
+                .collect()
+        });
+        // `targets` is ascending, so the shard-grouped replies line up
+        // with it in order.
+        for (worker, mats) in self.workers.iter().zip(&work[1..]) {
+            if !mats.is_empty() {
+                fresh.extend(worker.recv_traces(epoch));
+            }
+        }
+        for (&i, trace) in targets.iter().zip(fresh) {
             traces[i] = trace;
         }
         if let (Some(p), Some(t)) = (&self.probe, replay_started) {
-            // Replayed work reports separately from first-run speculation
-            // (`pool_step`): suffix steps actually re-executed, summed
-            // over the targets.
-            let steps: u64 = targets
-                .iter()
-                .map(|&i| u64::from(traces[i].ran.saturating_sub(prefix.resume)))
-                .sum();
+            // Replayed work reports separately from first-run
+            // speculation (`pool_step`): suffix steps re-executed.
             p.pool_replay(
-                steps,
+                targets.len() as u64 * u64::from(plan.steps() - prefix.resume),
                 u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX),
             );
         }
@@ -1405,13 +928,7 @@ impl MatPool {
         }
         let timed = self.timed();
         let local = self.local.as_mut().expect("no pool session open");
-        local_timed(timed, &mut self.local_busy_ns, || {
-            for (offset, mat) in local.mats.iter_mut().enumerate() {
-                if let Some(mat) = mat {
-                    mat.load_select_window(membership, (local.base + offset) * local.slots_per_mat);
-                }
-            }
-        });
+        local_timed(timed, &mut self.local_busy_ns, || local.rearm(membership));
     }
 
     /// First selected row per mat across the whole span, in mat order
@@ -1424,13 +941,7 @@ impl MatPool {
         }
         let timed = self.timed();
         let local = self.local.as_ref().expect("no pool session open");
-        let mut firsts: Vec<Option<u32>> = local_timed(timed, &mut self.local_busy_ns, || {
-            local
-                .mats
-                .iter()
-                .map(|m| m.as_ref().and_then(Mat::first_selected))
-                .collect()
-        });
+        let mut firsts = local_timed(timed, &mut self.local_busy_ns, || local.firsts());
         for worker in &self.workers {
             match worker.recv() {
                 Reply::Firsts {
@@ -1452,24 +963,12 @@ impl MatPool {
     pub fn read_slot(&mut self, mat: usize, slot: u32) -> u64 {
         let started = self.step_start();
         let lease = self.lease.as_ref().expect("no pool session open");
-        // Locate the shard executor owning span-local mat index `mat`.
-        let mut index = mat;
-        let mut owner = 0usize;
-        for (w, &len) in lease.shard_lens.iter().enumerate() {
-            if index < len {
-                owner = w;
-                break;
-            }
-            index -= len;
-        }
+        let (owner, index) = lease.owner(mat);
         let raw = if owner == 0 {
             let timed = self.timed();
             let local = self.local.as_ref().expect("no pool session open");
             local_timed(timed, &mut self.local_busy_ns, || {
-                local.mats[index]
-                    .as_ref()
-                    .expect("winning mat is materialized")
-                    .read_slot(slot)
+                local.read_slot(index, slot)
             })
         } else {
             let epoch = self.next_epoch();
@@ -1493,8 +992,8 @@ impl MatPool {
 }
 
 /// One-shot measured costs of the pool's control plane vs the bit-sliced
-/// data plane, used to place the [`crate::ParallelPolicy::Auto`]
-/// crossover. Measured once per process (see [`pool_calibration`]).
+/// data plane — a host report for benchmarks. Measured once per process
+/// (see [`pool_calibration`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolCalibration {
     /// Best-case broadcast→fold round-trip latency through a worker
@@ -1507,9 +1006,8 @@ pub struct PoolCalibration {
 
 /// Measures (once per process) the pool round-trip latency and the
 /// per-word cost of the bit-sliced kernels. Both are wall-clock
-/// measurements and therefore nondeterministic; everything derived from
-/// them (the Auto crossover) only affects *scheduling*, which the
-/// determinism contract already proves observationally invisible.
+/// measurements and therefore nondeterministic; no scheduling decision
+/// reads them.
 pub fn pool_calibration() -> PoolCalibration {
     static CAL: OnceLock<PoolCalibration> = OnceLock::new();
     *CAL.get_or_init(|| {

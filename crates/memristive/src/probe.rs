@@ -85,12 +85,6 @@ pub trait ExtractionProbe: Send + Sync {
     /// is time parked on the channel.
     fn pool_worker(&self, _worker: usize, _busy_ns: u64, _session_ns: u64) {}
 
-    /// The measured (or overridden) [`crate::ParallelPolicy::Auto`]
-    /// crossover, in mats, as cached when a pool session opens. Derived
-    /// from wall-clock calibration, so nondeterministic unless pinned
-    /// via `RIME_POOL_CROSSOVER`.
-    fn pool_crossover(&self, _mats: usize) {}
-
     /// One fold-driven suffix replay: `steps` is the total number of
     /// decided epoch steps re-executed across the lagging/divergent
     /// shards, `wall_ns` the wall-clock cost of issuing and completing
@@ -98,11 +92,11 @@ pub trait ExtractionProbe: Send + Sync {
     /// speculation (which reports through [`ExtractionProbe::pool_step`]).
     fn pool_replay(&self, _steps: u64, _wall_ns: u64) {}
 
-    /// One speculative descent dispatched: how many workers were
-    /// actually woken with a descend request versus how many shards were
-    /// answered from the memoized trace cache with their worker left
-    /// parked. A fully memoized fold reports `(0, shards)`.
-    fn pool_descend(&self, _woken_workers: usize, _memoized_shards: usize) {}
+    /// One memoized descent folded (the chip's batch path or the pool):
+    /// how many mats re-speculated versus how many were answered from
+    /// their memoized trace. After the first key of a batch a clean
+    /// descent reports `(1, mats - 1)`.
+    fn memo_descend(&self, _respeculated_mats: usize, _memoized_mats: usize) {}
 }
 
 /// Shared probe handle as stored by [`crate::Chip`] and [`crate::MatPool`].
@@ -179,8 +173,7 @@ mod tests {
         q.pool_unlease();
         q.pool_step(10);
         q.pool_worker(0, 5, 9);
-        q.pool_crossover(16);
         q.pool_replay(3, 100);
-        q.pool_descend(0, 4);
+        q.memo_descend(1, 3);
     }
 }

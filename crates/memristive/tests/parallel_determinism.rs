@@ -1,22 +1,20 @@
-//! Scheduling-invariance properties for the parallel mat fan-out: the
-//! persistent shard pool ([`rime_memristive::MatPool`] behind
-//! `ParallelPolicy::Threads`), the legacy per-step `thread::scope`
-//! fan-out (`ParallelPolicy::SpawnPerStep`), and `Auto` must all be
-//! observationally identical to `Sequential` — same hit streams, same
+//! Scheduling-invariance properties for the mat fan-out: the persistent
+//! shard pool ([`rime_memristive::MatPool`] behind
+//! `ParallelPolicy::Threads`) and `Auto`'s memoized per-mat descent must
+//! both be observationally identical to `Sequential` — same hit streams, same
 //! raw bits, and bit-identical [`rime_memristive::OpCounters`] — across
 //! random formats, thread counts, injected stuck-at faults, and batch
 //! sizes. This is the executable form of the pool's fixed-order
 //! reduction argument (wire-OR and removed-row sums are commutative
 //! over disjoint shards, merged in worker order).
 //!
-//! Since the batched-epoch protocol (PR 7) the pool runs each descent
-//! *speculatively* — workers race ahead on their local wire-OR view and
-//! the controller folds their traces into the global decision sequence,
-//! replaying divergent suffixes. The same properties therefore also run
-//! with the force-replay knob armed (every descent takes the replay
-//! path) and under adversarial shard plans (1-mat shards, maximal
-//! imbalance with empty shards), pinning that speculation + replay is
-//! bit-identical to `Sequential` too.
+//! Both run each descent *speculatively* — every mat races ahead on its
+//! own signals and the controller folds the traces into the global
+//! decision sequence, replaying divergent suffixes. The same properties
+//! therefore also run with the force-replay knob armed (every descent
+//! takes the replay path) and under adversarial shard plans (1-mat
+//! shards, maximal imbalance with empty shards), pinning that
+//! speculation + replay is bit-identical to `Sequential` too.
 
 use proptest::prelude::*;
 use rime_memristive::{
@@ -96,11 +94,7 @@ fn assert_policies_agree<T: SortableBits>(
     threads: usize,
 ) -> Result<(), TestCaseError> {
     let want = run_policy(keys, mats, faults, direction, k, ParallelPolicy::Sequential);
-    for policy in [
-        ParallelPolicy::Threads(threads),
-        ParallelPolicy::SpawnPerStep(threads),
-        ParallelPolicy::Auto,
-    ] {
+    for policy in [ParallelPolicy::Threads(threads), ParallelPolicy::Auto] {
         let got = run_policy(keys, mats, faults, direction, k, policy);
         prop_assert_eq!(&got.0, &want.0, "hit stream under {:?}", policy);
         prop_assert_eq!(got.1, want.1, "continuation under {:?}", policy);
@@ -219,7 +213,6 @@ fn wide_span_drain_is_policy_invariant() {
         ParallelPolicy::Sequential,
         ParallelPolicy::Threads(2),
         ParallelPolicy::Threads(5),
-        ParallelPolicy::SpawnPerStep(4),
         ParallelPolicy::Auto,
     ] {
         let mut chip = Chip::new(geometry(mats));
