@@ -1,16 +1,13 @@
-//! Parallel scaling benchmark: `Auto`'s memoized per-mat descent and
-//! the persistent mat-shard pool against the sequential walk, plus
-//! chip-parallel executor dispatch.
+//! Parallel scaling benchmark: `Auto`'s memoized per-mat descent
+//! against the sequential walk, plus chip-parallel executor dispatch.
 //!
 //! **Mat level** (8/16/32/64/128 mats): batched extraction throughput
-//! under `Sequential` (every mat sensed at every step), `Auto` (each
+//! under `Sequential` (every mat sensed at every step) and `Auto` (each
 //! mat's speculative descent memoized across the batch on the calling
-//! thread — after a hit only the winner's mat re-descends) and
-//! `Threads(T)` (the same speculation on the persistent pool). `T` is
-//! fixed at 4 so the pool is compared at the same fan-out on any host.
+//! thread — after a hit only the winner's mat re-descends).
 //!
-//! Every run is cross-checked against the Sequential hit stream and
-//! counters. With `--assert-pool` the bench exits nonzero on any
+//! Every `Auto` run is cross-checked against the Sequential hit stream
+//! and counters. With `--assert-auto` the bench exits nonzero on any
 //! divergence, or if `Auto` is below 2× `Sequential` at 16 mats or more
 //! (the CI perf-smoke gate).
 //!
@@ -31,9 +28,6 @@ use rime_memristive::{
     Chip, ChipGeometry, Direction, ExtractHit, KeyFormat, OpCounters, ParallelPolicy,
 };
 use std::time::{Duration, Instant};
-
-/// Fixed pool fan-out width.
-const FANOUT: usize = 4;
 
 /// Slots per mat = 4 arrays × rows.
 fn geometry(mats: u16, rows: u32) -> ChipGeometry {
@@ -60,13 +54,8 @@ fn loaded_chip(mats: u16, rows: u32, policy: ParallelPolicy) -> (Chip, u64) {
 }
 
 /// Best-of-`reps` wall time for `f`, which receives a fresh clone of
-/// `chip` each repetition (clone/setup — including pool spin-up, which
-/// clones do not inherit — excluded from the measurement only insofar
-/// as it happens before `init_range`; the first lease is part of the
-/// measured session, as it would be in real use). The clone is dropped
-/// *outside* the timed region: tearing a chip down joins its pool's
-/// worker threads, which is shutdown cost, not extraction throughput —
-/// and a cost the poolless Sequential clone never pays.
+/// `chip` each repetition (clone and drop stay outside the timed
+/// region).
 fn best_of(reps: usize, chip: &Chip, mut f: impl FnMut(&mut Chip)) -> Duration {
     let mut best = Duration::MAX;
     for _ in 0..reps {
@@ -88,9 +77,8 @@ struct MatResult {
     keys: u64,
     seq_kps: f64,
     auto_kps: f64,
-    pool_kps: f64,
-    /// `Auto`'s and the pool's hit streams (slots + raw bits) and
-    /// counters matched Sequential's.
+    /// `Auto`'s hit stream (slots + raw bits) and counters matched
+    /// Sequential's.
     matches_seq: bool,
 }
 
@@ -98,20 +86,13 @@ impl MatResult {
     fn auto_vs_seq(&self) -> f64 {
         self.auto_kps / self.seq_kps
     }
-    fn pool_vs_seq(&self) -> f64 {
-        self.pool_kps / self.seq_kps
-    }
 }
 
 fn run_mat_config(mats: u16, rows: u32, batch_k: usize, reps: usize) -> MatResult {
-    let mut kps = [0.0f64; 3];
+    let mut kps = [0.0f64; 2];
     let mut keys = 0;
     let mut observed: Vec<(Vec<ExtractHit>, OpCounters)> = Vec::new();
-    let policies = [
-        ParallelPolicy::Sequential,
-        ParallelPolicy::Auto,
-        ParallelPolicy::Threads(FANOUT),
-    ];
+    let policies = [ParallelPolicy::Sequential, ParallelPolicy::Auto];
     for (idx, policy) in policies.into_iter().enumerate() {
         let (chip, n) = loaded_chip(mats, rows, policy);
         keys = n;
@@ -129,8 +110,7 @@ fn run_mat_config(mats: u16, rows: u32, batch_k: usize, reps: usize) -> MatResul
         keys,
         seq_kps: kps[0],
         auto_kps: kps[1],
-        pool_kps: kps[2],
-        matches_seq: observed[1] == observed[0] && observed[2] == observed[0],
+        matches_seq: observed[1] == observed[0],
     }
 }
 
@@ -184,21 +164,18 @@ fn write_json(
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut out = String::from("{\n  \"bench\": \"parallel_scaling\",\n");
     out.push_str(&format!(
-        "  \"mode\": \"{mode}\",\n  \"nproc\": {nproc},\n  \"fanout_threads\": {FANOUT},\n  \"mat_level\": [\n"
+        "  \"mode\": \"{mode}\",\n  \"nproc\": {nproc},\n  \"mat_level\": [\n"
     ));
     for (i, r) in mat.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"mats\": {}, \"keys\": {}, \"seq_kps\": {:.0}, \
-             \"auto_kps\": {:.0}, \"pool_kps\": {:.0}, \
-             \"auto_vs_seq\": {:.2}, \"pool_vs_seq\": {:.2}, \
+             \"auto_kps\": {:.0}, \"auto_vs_seq\": {:.2}, \
              \"matches_seq\": {}}}{}\n",
             r.mats,
             r.keys,
             r.seq_kps,
             r.auto_kps,
-            r.pool_kps,
             r.auto_vs_seq(),
-            r.pool_vs_seq(),
             r.matches_seq,
             if i + 1 < mat.len() { "," } else { "" },
         ));
@@ -214,17 +191,11 @@ fn write_json(
         ));
     }
     out.push_str("  ],\n");
-    // One extra fully instrumented pass of the pool configuration,
+    // One extra fully instrumented pass of the `Auto` configuration,
     // outside any timed region: the masked (deterministic) snapshot
-    // rides along for byte-stable diffs, while the unmasked pool
-    // wall-clock evidence is distilled into "pool_metrics" so the
-    // committed file proves the probes fired.
-    let (metrics, pool_metrics) = rime_bench::instrumented_metrics_and_pool_stats(
-        geometry(64, rows),
-        ParallelPolicy::Threads(FANOUT),
-        batch_k,
-    );
-    out.push_str(&format!("  \"pool_metrics\": {pool_metrics},\n"));
+    // rides along for byte-stable diffs.
+    let metrics =
+        rime_bench::instrumented_metrics_json(geometry(64, rows), ParallelPolicy::Auto, batch_k);
     out.push_str(&format!("  \"metrics\": {metrics}\n}}\n"));
     std::fs::write(path, out).expect("write bench snapshot");
     println!("snapshot written to {path}");
@@ -232,7 +203,7 @@ fn write_json(
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick" || a == "quick");
-    let assert_pool = std::env::args().any(|a| a == "--assert-pool");
+    let assert_auto = std::env::args().any(|a| a == "--assert-auto");
     let (rows, batch_k, reps) = if quick {
         (64u32, 64usize, 2usize)
     } else {
@@ -240,26 +211,23 @@ fn main() {
     };
 
     println!(
-        "parallel scaling: memoized descent and pool vs sequential walk ({} mode, pool fan-out {})",
+        "parallel scaling: memoized descent vs sequential walk ({} mode)",
         if quick { "quick" } else { "full" },
-        FANOUT,
     );
     println!(
-        "{:>5} {:>8} | {:>12} {:>12} {:>12} | {:>10} {:>10}",
-        "mats", "keys", "seq k/s", "auto k/s", "pool k/s", "auto/seq", "pool/seq"
+        "{:>5} {:>8} | {:>12} {:>12} | {:>10}",
+        "mats", "keys", "seq k/s", "auto k/s", "auto/seq"
     );
     let mut mat_results = Vec::new();
     for mats in [8u16, 16, 32, 64, 128] {
         let r = run_mat_config(mats, rows, batch_k, reps);
         println!(
-            "{:>5} {:>8} | {:>12.0} {:>12.0} {:>12.0} | {:>9.2}x {:>9.2}x{}",
+            "{:>5} {:>8} | {:>12.0} {:>12.0} | {:>9.2}x{}",
             r.mats,
             r.keys,
             r.seq_kps,
             r.auto_kps,
-            r.pool_kps,
             r.auto_vs_seq(),
-            r.pool_vs_seq(),
             if r.matches_seq { "" } else { "  DIVERGED" },
         );
         mat_results.push(r);
@@ -280,17 +248,14 @@ fn main() {
         write_json(&path, mode, &mat_results, &chip_results, rows, batch_k);
     }
 
-    // CI perf-smoke gate: every policy's hit stream and counters are
+    // CI perf-smoke gate: `Auto`'s hit stream and counters are
     // bit-identical to Sequential, and the memoized descent is at least
     // 2× the sequential walk wherever the span is wide enough to matter.
-    if assert_pool {
+    if assert_auto {
         let mut failed = false;
         for r in &mat_results {
             if !r.matches_seq {
-                eprintln!(
-                    "ASSERT: Auto or pool diverged from Sequential at {} mats",
-                    r.mats
-                );
+                eprintln!("ASSERT: Auto diverged from Sequential at {} mats", r.mats);
                 failed = true;
             }
             if r.mats >= 16 && r.auto_vs_seq() < 2.0 {
@@ -305,6 +270,6 @@ fn main() {
         if failed {
             std::process::exit(1);
         }
-        println!("--assert-pool: all checks passed");
+        println!("--assert-auto: all checks passed");
     }
 }

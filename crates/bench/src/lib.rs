@@ -106,24 +106,6 @@ pub fn instrumented_metrics_json(
     policy: rime_memristive::ParallelPolicy,
     batch_k: usize,
 ) -> String {
-    instrumented_metrics_and_pool_stats(chip_geometry, policy, batch_k).0
-}
-
-/// One-pass variant of [`instrumented_metrics_json`] that also distills
-/// the *unmasked* pool wall-clock metrics into a small side record:
-/// `(masked_snapshot_json, pool_stats_json)`.
-///
-/// Masking rightly zeroes every nondeterministic series in the committed
-/// snapshot — which is exactly how the pool-latency regression of PR 7
-/// hid (all-zero `rime_pool_step_wall_ns`/worker-busy rows looked
-/// plausible). The side record keeps the live evidence (counts and
-/// totals, machine-specific by nature) without destabilizing the masked
-/// snapshot's byte-identity.
-pub fn instrumented_metrics_and_pool_stats(
-    chip_geometry: rime_memristive::ChipGeometry,
-    policy: rime_memristive::ParallelPolicy,
-    batch_k: usize,
-) -> (String, String) {
     use rime_core::{Direction, DriverConfig, KeyFormat, RimeConfig, RimeDevice};
     use rime_memristive::ArrayTiming;
 
@@ -149,37 +131,7 @@ pub fn instrumented_metrics_and_pool_stats(
     let _ = dev
         .next_extremes_raw(region, KeyFormat::UNSIGNED64, Direction::Min, batch_k)
         .expect("extract metrics pass");
-    let snapshot = dev.metrics_snapshot();
-    let pool_stats = pool_stats_json(&snapshot);
-    (snapshot.masked().to_json(false), pool_stats)
-}
-
-/// Distills the pool's wall-clock evidence from an *unmasked* snapshot:
-/// broadcast→fold latency count/sum, summed worker busy/park time, and
-/// session counts.
-fn pool_stats_json(snapshot: &rime_core::Snapshot) -> String {
-    use rime_core::MetricValue;
-
-    let (mut step_count, mut step_sum) = (0u64, 0u64);
-    let (mut busy, mut park) = (0u64, 0u64);
-    let mut leases = 0u64;
-    for m in &snapshot.metrics {
-        match (m.name.as_str(), &m.value) {
-            ("rime_pool_step_wall_ns", MetricValue::Histogram(h)) => {
-                step_count += h.count;
-                step_sum += h.sum;
-            }
-            ("rime_pool_worker_busy_ns_total", MetricValue::Counter(v)) => busy += v,
-            ("rime_pool_worker_park_ns_total", MetricValue::Counter(v)) => park += v,
-            ("rime_pool_leases_total", MetricValue::Counter(v)) => leases += v,
-            _ => {}
-        }
-    }
-    format!(
-        "{{\"step_latency_count\": {step_count}, \"step_latency_sum_ns\": {step_sum}, \
-         \"worker_busy_ns\": {busy}, \"worker_park_ns\": {park}, \
-         \"leases\": {leases}}}"
-    )
+    dev.metrics_snapshot().masked().to_json(false)
 }
 
 /// Formats a ratio like the paper's "×" factors.

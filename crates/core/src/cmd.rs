@@ -965,7 +965,7 @@ impl Executor {
     }
 
     /// The built-in metrics registry. Per-command metrics are always
-    /// published here; per-phase chip and pool metrics appear once
+    /// published here; per-phase chip and descent metrics appear once
     /// [`Executor::enable_extraction_probes`] has run.
     pub fn metrics(&self) -> &MetricsRegistry {
         self.metrics.registry()
@@ -976,9 +976,8 @@ impl Executor {
         self.metrics.registry().snapshot()
     }
 
-    /// Installs a registry-backed [`ChipProbe`] on every chip (and, via
-    /// the chip, on its mat pool), turning on deep per-phase and pool
-    /// instrumentation. Off by default: the probes read the host clock,
+    /// Installs a registry-backed [`ChipProbe`] on every chip, turning on
+    /// deep per-phase and memoized-descent instrumentation. Off by default: the probes read the host clock,
     /// so benchmarks leave them uninstalled.
     pub fn enable_extraction_probes(&self) {
         for (idx, chip) in self.chips.iter().enumerate() {

@@ -465,11 +465,10 @@ impl RimeDevice {
     /// Sets every chip's mat fan-out policy (model-execution knob; see
     /// [`ParallelPolicy`] — results and counters are unaffected).
     /// `Sequential` walks every mat at every step; `Auto` (the default)
-    /// memoizes each mat's descent across a batch on the calling thread;
-    /// `Threads(n)` leases each chip's in-range mats to a persistent
-    /// shard pool. Independent of this knob, multi-chip batched commands
-    /// dispatch each chip's prefill on its own thread with a
-    /// deterministic chip-order merge (DESIGN.md §10).
+    /// memoizes each mat's descent across a batch on the calling thread.
+    /// Independent of this knob, multi-chip batched commands dispatch
+    /// each chip's prefill on its own thread with a deterministic
+    /// chip-order merge (DESIGN.md §10).
     pub fn set_parallel_policy(&self, policy: ParallelPolicy) {
         self.exec.set_parallel_policy(policy);
     }
@@ -514,8 +513,8 @@ impl RimeDevice {
     }
 
     /// The device's built-in metrics registry (see [`crate::metrics`]).
-    /// Per-command metrics are always published; per-phase chip and pool
-    /// metrics appear after [`RimeDevice::enable_extraction_metrics`].
+    /// Per-command metrics are always published; per-phase chip and
+    /// descent metrics appear after [`RimeDevice::enable_extraction_metrics`].
     pub fn metrics(&self) -> &MetricsRegistry {
         self.exec.metrics()
     }
@@ -526,10 +525,10 @@ impl RimeDevice {
         self.exec.metrics_snapshot()
     }
 
-    /// Turns on deep per-phase extraction and mat-pool instrumentation
-    /// by installing a registry-backed probe on every chip. Off by
-    /// default — the probes read the host clock on every phase, so
-    /// benchmarks leave them uninstalled.
+    /// Turns on deep per-phase extraction and memoized-descent
+    /// instrumentation by installing a registry-backed probe on every
+    /// chip. Off by default — the probes read the host clock on every
+    /// phase, so benchmarks leave them uninstalled.
     pub fn enable_extraction_metrics(&self) {
         self.exec.enable_extraction_probes();
     }

@@ -2,7 +2,7 @@
 //!
 //! Since the service PR a request's life spans five layers (session
 //! ring → doorbell/drain → fusion → executor dispatch → chip/mat
-//! pool), but the metrics spine only exposes *aggregates*. This module
+//! descent), but the metrics spine only exposes *aggregates*. This module
 //! adds the per-request layer: a [`TraceCtx`] stamped at submission and
 //! carried through every stage, emitting [`SpanEvent`]s (phase-tagged
 //! enter/exit pairs, collapsed into complete spans) into a fixed-size

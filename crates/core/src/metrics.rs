@@ -6,13 +6,13 @@
 //! lists metrics in one canonical order. Handles returned by the
 //! registration calls are `Arc`-wrapped atomics: after the first
 //! registration of a key, updates are lock-free, which is what lets the
-//! chip/pool hot paths record into the registry without contending with
+//! chip hot paths record into the registry without contending with
 //! snapshot readers.
 //!
 //! # Determinism contract
 //!
 //! Every metric is either *modeled* (derived from the bit-accurate
-//! simulation: op counts, step counts, modeled nanoseconds, shard sizes)
+//! simulation: op counts, step counts, modeled nanoseconds, memo hits)
 //! or *wall-clock* (host timing, flagged `nondeterministic`). For a fixed
 //! workload and a pinned [`rime_memristive::ParallelPolicy`], two runs
 //! produce byte-identical [`Snapshot::masked`] exports: masking zeroes
@@ -1358,7 +1358,7 @@ fn phase_slot(phase: Phase) -> usize {
 /// The registry-backed implementation of
 /// [`rime_memristive::probe::ExtractionProbe`]: converts phase op counts
 /// into modeled device nanoseconds via [`ArrayTiming`] and publishes
-/// phase, steps-per-key, and pool metrics labeled by chip.
+/// phase, steps-per-key, and memoized-descent metrics labeled by chip.
 ///
 /// Installed per chip by `RimeDevice::enable_extraction_metrics()` (one
 /// probe per chip so the `chip` label is fixed at construction). Phases
@@ -1368,19 +1368,12 @@ fn phase_slot(phase: Phase) -> usize {
 /// exported.
 #[derive(Debug)]
 pub struct ChipProbe {
-    registry: MetricsRegistry,
-    chip: String,
     timing: ArrayTiming,
     phase_wall: Vec<Histogram>,
     phase_modeled: Vec<Histogram>,
     phase_ops: Vec<Counter>,
     steps: Histogram,
     excluded: Histogram,
-    leases: Counter,
-    unleases: Counter,
-    imbalance: Gauge,
-    leased_mats: Gauge,
-    pool_step_wall: Histogram,
     replay_steps: Counter,
     replay_wall: Histogram,
     descend_respeculated: Counter,
@@ -1426,32 +1419,9 @@ impl ChipProbe {
                 &chip_label,
                 "rows deselected per exclusion step",
             ),
-            leases: registry.counter(
-                "rime_pool_leases_total",
-                &chip_label,
-                "mat-pool sessions opened",
-            ),
-            unleases: registry.counter(
-                "rime_pool_unleases_total",
-                &chip_label,
-                "mat-pool sessions closed",
-            ),
-            imbalance: registry.gauge(
-                "rime_pool_shard_imbalance",
-                &chip_label,
-                "largest minus smallest shard size of the last lease",
-            ),
-            leased_mats: registry.gauge(
-                "rime_pool_leased_mats",
-                &chip_label,
-                "mats covered by the last pool lease",
-            ),
-            pool_step_wall: registry.histogram_with(
-                "rime_pool_step_wall_ns",
-                &chip_label,
-                "wall-clock broadcast-to-fold latency per pool epoch step",
-                true,
-            ),
+            // The `rime_pool_*` names predate the chip's inline memoized
+            // descent, which is now the only path reporting them; they
+            // are kept so exported series stay comparable.
             replay_steps: registry.counter(
                 "rime_pool_replay_steps_total",
                 &chip_label,
@@ -1463,8 +1433,6 @@ impl ChipProbe {
                 "wall-clock nanoseconds per fold-driven suffix replay",
                 true,
             ),
-            // The names predate the chip's inline memoized descent; both
-            // it and the pool count mats here.
             descend_respeculated: registry.counter(
                 "rime_pool_descend_woken_workers_total",
                 &chip_label,
@@ -1476,8 +1444,6 @@ impl ChipProbe {
                 "mats whose descent was answered by their memoized trace",
             ),
             flight: None,
-            registry: registry.clone(),
-            chip,
             timing,
             phase_wall,
             phase_modeled,
@@ -1547,23 +1513,7 @@ impl ExtractionProbe for ChipProbe {
         self.excluded.observe(removed);
     }
 
-    fn pool_lease(&self, _workers: usize, mats: usize, largest: usize, smallest: usize) {
-        self.leases.inc();
-        self.leased_mats
-            .set(i64::try_from(mats).unwrap_or(i64::MAX));
-        self.imbalance
-            .set(i64::try_from(largest.saturating_sub(smallest)).unwrap_or(i64::MAX));
-    }
-
-    fn pool_unlease(&self) {
-        self.unleases.inc();
-    }
-
-    fn pool_step(&self, wall_ns: u64) {
-        self.pool_step_wall.observe(wall_ns);
-    }
-
-    fn pool_replay(&self, steps: u64, wall_ns: u64) {
+    fn descent_replay(&self, steps: u64, wall_ns: u64) {
         self.replay_steps.add(steps);
         self.replay_wall.observe(wall_ns);
     }
@@ -1571,27 +1521,6 @@ impl ExtractionProbe for ChipProbe {
     fn memo_descend(&self, respeculated_mats: usize, memoized_mats: usize) {
         self.descend_respeculated.add(respeculated_mats as u64);
         self.descend_memoized.add(memoized_mats as u64);
-    }
-
-    fn pool_worker(&self, worker: usize, busy_ns: u64, session_ns: u64) {
-        let worker = worker.to_string();
-        let labels = [("chip", self.chip.as_str()), ("worker", worker.as_str())];
-        self.registry
-            .counter_with(
-                "rime_pool_worker_busy_ns_total",
-                &labels,
-                "wall-clock nanoseconds the worker spent processing requests",
-                true,
-            )
-            .add(busy_ns);
-        self.registry
-            .counter_with(
-                "rime_pool_worker_park_ns_total",
-                &labels,
-                "wall-clock nanoseconds the worker sat parked on its channel",
-                true,
-            )
-            .add(session_ns.saturating_sub(busy_ns));
     }
 }
 
@@ -1890,10 +1819,7 @@ mod tests {
         probe.phase(Phase::Exclude, 7, 10);
         probe.extraction(64);
         probe.excluded_step(12);
-        probe.pool_lease(4, 16, 4, 4);
-        probe.pool_step(100);
-        probe.pool_worker(0, 80, 100);
-        probe.pool_unlease();
+        probe.descent_replay(3, 100);
         let snap = reg.snapshot();
         let get = |name: &str, phase: Option<&str>| {
             snap.metrics
@@ -1926,16 +1852,12 @@ mod tests {
             MetricValue::Counter(v) => assert_eq!(v, 10),
             other => panic!("{other:?}"),
         }
-        match get("rime_pool_worker_busy_ns_total", None) {
-            MetricValue::Counter(v) => assert_eq!(v, 80),
+        match get("rime_pool_replay_steps_total", None) {
+            MetricValue::Counter(v) => assert_eq!(v, 3),
             other => panic!("{other:?}"),
         }
-        match get("rime_pool_worker_park_ns_total", None) {
-            MetricValue::Counter(v) => assert_eq!(v, 20),
-            other => panic!("{other:?}"),
-        }
-        match get("rime_pool_shard_imbalance", None) {
-            MetricValue::Gauge(v) => assert_eq!(v, 0),
+        match get("rime_pool_replay_wall_ns", None) {
+            MetricValue::Histogram(h) => assert_eq!((h.count, h.sum), (1, 100)),
             other => panic!("{other:?}"),
         }
         // Wall-clock(-derived) metrics carry the flag; modeled ones don't.

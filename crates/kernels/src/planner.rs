@@ -16,11 +16,12 @@
 //! * **hybrids** — the [`crate::hybrid`] kernels, priced as device
 //!   streaming plus the CPU merge/partition/scatter passes they retain.
 //!
-//! Calibration mirrors the mat pool's `pool_calibration()` one-shot
-//! (PR 7), but unlike the pool's wall-clock probes every input here is
-//! *simulated* time — exec-kernel cycles and modeled busy nanoseconds —
-//! so the calibration, the exported gauges, and every plan are
-//! deterministic and safe to embed in masked metric snapshots.
+//! Calibration mirrors the one-shot idiom of `rime_memristive`'s
+//! `pool_calibration()` host report, but unlike its wall-clock probes
+//! every input here is *simulated* time — exec-kernel cycles and
+//! modeled busy nanoseconds — so the calibration, the exported gauges,
+//! and every plan are deterministic and safe to embed in masked metric
+//! snapshots.
 //!
 //! `RIME_PLANNER_FORCE=cpu|rime|hybrid` restricts the candidate set (the
 //! operational escape hatch), and is how the ablation harness measures
@@ -110,8 +111,8 @@ const CPU_PROBE_KEYS: usize = 24_000;
 /// Number of keys the device probe loads and streams.
 const DEV_PROBE_KEYS: usize = 4_096;
 
-/// Measures (once per process) the planner's cost primitives. Unlike the
-/// pool calibration this reads no wall clocks: CPU costs come from the
+/// Measures (once per process) the planner's cost primitives. Unlike
+/// `pool_calibration()` this reads no wall clocks: CPU costs come from the
 /// timed [`TracedMemory`] simulation (deterministic cycles), device
 /// costs from `modeled_busy_ns` over real operation counters.
 pub fn planner_calibration() -> PlannerCalibration {

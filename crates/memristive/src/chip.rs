@@ -16,22 +16,18 @@
 //!
 //! In hardware every mat senses its column simultaneously and the
 //! signals meet at wire-OR nodes on the way up the H-tree (Fig. 9/10);
-//! the model pays for every mat on the host. [`ParallelPolicy`] picks
-//! how, and never what: hits and every [`OpCounters`] field are
+//! the model pays for every mat on the calling thread. [`ParallelPolicy`]
+//! picks how, and never what: hits and every [`OpCounters`] field are
 //! identical under every policy.
 //!
-//! - The **walk** senses every active mat at every step on the calling
-//!   thread — the sequential differential oracle.
+//! - The **walk** senses every active mat at every step — the
+//!   sequential differential oracle.
 //! - The **memoized descent** ([`ParallelPolicy::Auto`] batches) keeps
 //!   one speculative trace per mat for the whole batch
 //!   (the `descent` module). Extracting a key clears one membership bit,
 //!   so after each hit only the winner's mat re-latches its select
 //!   window and re-speculates; every other mat's trace is reused, and
 //!   the fold rebuilds the exact global decision sequence.
-//! - The **pool** ([`ParallelPolicy::Threads`], [`crate::pool`]) runs
-//!   the same speculation on persistent mat-shard workers.
-
-use std::sync::Arc;
 
 use crate::array::ColumnSignals;
 use crate::bitmap::Bitmap;
@@ -43,7 +39,6 @@ use crate::geometry::ChipGeometry;
 use crate::htree::IndexTree;
 use crate::mat::{Mat, MatState};
 use crate::plan::{Direction, SearchPlan};
-use crate::pool::{Dirty, MatPool};
 use crate::probe::{timed, Phase, SharedProbe};
 
 /// Result of one in-situ min/max extraction.
@@ -69,45 +64,18 @@ pub enum ParallelPolicy {
     /// differential oracle.
     Sequential,
     /// Batches of k ≥ 2 over spans of ≥ 2 mats run the memoized per-mat
-    /// descent on the calling thread: after each hit only the winner's
-    /// mat re-descends. Single extractions and single-mat spans walk
-    /// inline (nothing to reuse). The default.
+    /// descent: after each hit only the winner's mat re-descends. Single
+    /// extractions and single-mat spans walk (nothing to reuse). The
+    /// default.
     #[default]
     Auto,
-    /// Drive the persistent mat-shard pool with exactly this many
-    /// workers (`0` and `1` walk on the calling thread).
-    Threads(usize),
-}
-
-/// How a given extraction session is actually scheduled.
-#[derive(Clone, Copy)]
-enum Fanout {
-    /// Walk every mat at every step on the calling thread.
-    Walk,
-    /// Memoized per-mat descents on the calling thread.
-    Memo,
-    /// Lease the span to the persistent pool with this many workers.
-    Pool(usize),
-}
-
-/// Where a pooled descent's replay path finds the span's select
-/// membership: the batch loop already holds it as a shared `Arc`, while
-/// a single extraction rebuilds it from the exclusion flags on demand
-/// (replay never fires on the natural path, so the rebuild is free in
-/// the common case).
-#[derive(Clone, Copy)]
-enum MembershipSource<'a> {
-    /// Clone this shared membership vector (batch path).
-    Shared(&'a Arc<Bitmap>),
-    /// Rebuild `[begin, end)` minus the exclusion flags (single path).
-    Rebuild { begin: u64, end: u64 },
 }
 
 /// Serializable snapshot of one chip's durable state, for
 /// checkpoint/recovery: per-mat cell contents (lazily materialized mats
 /// stay `None`), the exclusion flags, the active format/range, and the
 /// accumulated [`OpCounters`]. Scheduling knobs ([`ParallelPolicy`],
-/// probes, the worker pool) and volatile select latches are not state —
+/// probes) and volatile select latches are not state —
 /// a restored chip keeps its own and re-arms latches on the next
 /// extraction.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,6 +95,7 @@ pub struct ChipState {
 /// One RIME memristive chip.
 ///
 /// See the [crate-level example](crate) for end-to-end usage.
+#[derive(Clone)]
 pub struct Chip {
     geometry: ChipGeometry,
     mats: Vec<Option<Mat>>,
@@ -143,20 +112,13 @@ pub struct Chip {
     /// observationally identical — hits and counters bit-equal — which
     /// the differential suite proves.
     scalar_oracle: bool,
-    /// Test knob: bail initial speculation (pool and memoized descent)
+    /// Test knob: bail the memoized descent's initial speculations
     /// after this many steps so the fold exercises the replay path.
-    pool_force_replay: Option<u16>,
-    /// Test knob: explicit per-worker shard sizes for pool leases
-    /// (overrides the worker count with the plan's length).
-    pool_shard_plan: Option<Vec<usize>>,
-    /// Persistent mat-shard workers, built lazily on first pooled
-    /// extraction and kept across sessions. `None` until then (and in
-    /// clones — worker threads are per-instance).
-    pool: Option<MatPool>,
+    force_replay: Option<u16>,
     /// Reusable per-mat firsts buffer for the H-tree reduction —
-    /// allocation-free readout on the pooled path.
+    /// allocation-free readout on the memoized path.
     firsts_scratch: Vec<Option<u32>>,
-    /// Extraction/pool observer (rime-core's metrics layer). `None` keeps
+    /// Extraction observer (rime-core's metrics layer). `None` keeps
     /// every instrumented path free of clock reads.
     probe: Option<SharedProbe>,
 }
@@ -173,32 +135,8 @@ impl std::fmt::Debug for Chip {
             .field("counters", &self.counters)
             .field("parallel", &self.parallel)
             .field("scalar_oracle", &self.scalar_oracle)
-            .field("pool", &self.pool)
             .field("probe", &self.probe.as_ref().map(|_| "installed"))
             .finish()
-    }
-}
-
-impl Clone for Chip {
-    fn clone(&self) -> Chip {
-        Chip {
-            geometry: self.geometry,
-            mats: self.mats.clone(),
-            tree: self.tree.clone(),
-            excluded: self.excluded.clone(),
-            format: self.format,
-            range: self.range,
-            counters: self.counters,
-            parallel: self.parallel,
-            scalar_oracle: self.scalar_oracle,
-            pool_force_replay: self.pool_force_replay,
-            pool_shard_plan: self.pool_shard_plan.clone(),
-            // Worker threads are not shareable state; the clone builds
-            // its own pool on first pooled extraction.
-            pool: None,
-            firsts_scratch: Vec::new(),
-            probe: self.probe.clone(),
-        }
     }
 }
 
@@ -216,18 +154,16 @@ impl Chip {
             counters: OpCounters::new(),
             parallel: ParallelPolicy::Auto,
             scalar_oracle: false,
-            pool_force_replay: None,
-            pool_shard_plan: None,
-            pool: None,
+            force_replay: None,
             firsts_scratch: Vec::new(),
             probe: None,
         }
     }
 
     /// Installs (or removes) an extraction probe. Probes observe phase
-    /// timing, step counts, and pool activity — they never touch
-    /// [`OpCounters`], so results and counters are identical with or
-    /// without one. See [`crate::probe::ExtractionProbe`].
+    /// timing, step counts, and memoized-descent activity — they never
+    /// touch [`OpCounters`], so results and counters are identical with
+    /// or without one. See [`crate::probe::ExtractionProbe`].
     pub fn set_probe(&mut self, probe: Option<SharedProbe>) {
         self.probe = probe;
     }
@@ -259,40 +195,13 @@ impl Chip {
         self.parallel = policy;
     }
 
-    /// Decides how a session extracting up to `k` keys over a span of
-    /// `mats_in_range` mats is scheduled. Single-mat spans always walk —
-    /// there is nothing to fan out or reuse.
-    fn fanout(&self, mats_in_range: usize, k: usize) -> Fanout {
-        if mats_in_range <= 1 {
-            return Fanout::Walk;
-        }
-        match self.parallel {
-            ParallelPolicy::Sequential | ParallelPolicy::Threads(0 | 1) => Fanout::Walk,
-            ParallelPolicy::Threads(n) => Fanout::Pool(n),
-            ParallelPolicy::Auto if k >= 2 => Fanout::Memo,
-            ParallelPolicy::Auto => Fanout::Walk,
-        }
-    }
-
-    /// Test knob: make *initial* speculations (pool workers and the
-    /// memoized descent) bail after `limit` steps, forcing the fold
-    /// through the replay path (replayed runs always complete). `None`
-    /// disarms.
+    /// Test knob: make the memoized descent's *initial* speculations
+    /// bail after `limit` steps, forcing the fold through the replay
+    /// path (replayed runs always complete). `None` disarms.
     /// Purely a scheduling knob — results and counters are unchanged,
     /// which is exactly what the replay proptests pin.
-    pub fn set_pool_force_replay(&mut self, limit: Option<u16>) {
-        self.pool_force_replay = limit;
-    }
-
-    /// Test knob: pin an explicit shard plan for pool leases —
-    /// `plan[i]` mats go to worker `i`, in span order, and the worker
-    /// count follows the plan's length. Lets tests drive adversarial
-    /// splits (1-mat shards, maximal imbalance, empty shards) that the
-    /// default contiguous chunking never produces. The plan must cover
-    /// exactly the leased span or the lease panics. `None` restores
-    /// default chunking.
-    pub fn set_pool_shard_plan(&mut self, plan: Option<Vec<usize>>) {
-        self.pool_shard_plan = plan;
+    pub fn set_force_replay(&mut self, limit: Option<u16>) {
+        self.force_replay = limit;
     }
 
     /// Key-slot capacity.
@@ -516,21 +425,9 @@ impl Chip {
             return Ok(None);
         }
 
-        Ok(Some(match self.fanout(last_mat - first_mat + 1, 1) {
-            Fanout::Pool(workers) => {
-                let mut pool = self.lease_pool(first_mat, last_mat, workers);
-                let hit = self.converge_pooled(
-                    first_mat,
-                    &mut pool,
-                    &plan,
-                    MembershipSource::Rebuild { begin, end },
-                    Dirty::All,
-                );
-                self.restore_pool(first_mat, pool);
-                hit
-            }
-            Fanout::Walk | Fanout::Memo => self.converge_host(first_mat, last_mat, &plan, selected),
-        }))
+        Ok(Some(
+            self.converge_host(first_mat, last_mat, &plan, selected),
+        ))
     }
 
     /// Extracts up to `k` consecutive extremes from the active range — the
@@ -605,19 +502,13 @@ impl Chip {
         let mut hits = Vec::with_capacity(k);
         let mut selected = membership.count_ones() as u64;
         let probe = self.probe.clone();
-        let fanout = self.fanout(last_mat - first_mat + 1, k);
-        let mut pool = match fanout {
-            Fanout::Pool(workers) => Some(self.lease_pool(first_mat, last_mat, workers)),
-            Fanout::Walk | Fanout::Memo => None,
+        // Single extractions and single-mat spans walk: nothing to reuse.
+        let memoize = self.parallel == ParallelPolicy::Auto && last_mat > first_mat && k >= 2;
+        let mut traces = if memoize {
+            vec![MatTrace::silent(0, 0); last_mat - first_mat + 1]
+        } else {
+            Vec::new()
         };
-        let mut traces = match fanout {
-            Fanout::Memo => vec![MatTrace::silent(0, 0); last_mat - first_mat + 1],
-            Fanout::Walk | Fanout::Pool(_) => Vec::new(),
-        };
-        // Shared with the pool workers, which drop their clones before
-        // replying, so each `Arc::make_mut` below mutates in place.
-        let mut membership = Arc::new(membership);
-        let mut dirty_slot: Option<u64> = None;
         // Empty in-range slots hold 0 and participate in ranking.
         for idx in first_mat..=last_mat {
             self.mat_mut(idx as u32);
@@ -625,11 +516,11 @@ impl Chip {
         for _ in 0..k {
             // Rearm: one select-vector load through the H-tree, exactly
             // as the single-extract path counts it. The walk latches
-            // every span mat's window here; the memoized and pooled
-            // descents fuse it into the descent (only stale mats
-            // re-latch), so its wall time lands there.
+            // every span mat's window here; the memoized descent fuses
+            // it into the descent (only stale mats re-latch), so its
+            // wall time lands there.
             let mut rearm_ns = 0u64;
-            if let Fanout::Walk = fanout {
+            if !memoize {
                 timed(&probe, &mut rearm_ns, || {
                     let per_mat = self.geometry.slots_per_mat() as usize;
                     for idx in first_mat..=last_mat {
@@ -647,75 +538,16 @@ impl Chip {
             if selected == 0 {
                 break;
             }
-            let hit = match fanout {
-                Fanout::Walk => self.converge_host(first_mat, last_mat, &plan, selected),
-                Fanout::Memo => self.converge_memo(first_mat, &plan, &membership, &mut traces),
-                Fanout::Pool(_) => {
-                    // After the first key only the previous winner's mat
-                    // re-speculates; the rest serve memoized traces.
-                    let dirty = match &dirty_slot {
-                        None => Dirty::All,
-                        Some(slot) => Dirty::Slots(std::slice::from_ref(slot)),
-                    };
-                    self.converge_pooled(
-                        first_mat,
-                        pool.as_mut().expect("pooled sessions hold a lease"),
-                        &plan,
-                        MembershipSource::Shared(&membership),
-                        dirty,
-                    )
-                }
+            let hit = if memoize {
+                self.converge_memo(first_mat, &plan, &membership, &mut traces)
+            } else {
+                self.converge_host(first_mat, last_mat, &plan, selected)
             };
-            Arc::make_mut(&mut membership).set(hit.slot as usize, false);
+            membership.set(hit.slot as usize, false);
             selected -= 1;
-            dirty_slot = Some(hit.slot);
             hits.push(hit);
         }
-        if let Some(pool) = pool {
-            self.restore_pool(first_mat, pool);
-        }
         Ok(hits)
-    }
-
-    /// Materializes the span's mats (empty in-range slots hold 0 and
-    /// participate in ranking) and moves them into the persistent pool,
-    /// building or resizing the pool if the requested worker count
-    /// changed.
-    fn lease_pool(&mut self, first_mat: usize, last_mat: usize, workers: usize) -> MatPool {
-        for idx in first_mat..=last_mat {
-            self.mat_mut(idx as u32);
-        }
-        let workers = match &self.pool_shard_plan {
-            Some(plan) => plan.len(),
-            None => workers,
-        };
-        let mut pool = match self.pool.take() {
-            Some(pool) if pool.workers() == workers => pool,
-            _ => MatPool::new(workers),
-        };
-        pool.set_probe(self.probe.clone());
-        pool.set_force_replay(self.pool_force_replay);
-        let span: Vec<Option<Mat>> = self.mats[first_mat..=last_mat]
-            .iter_mut()
-            .map(Option::take)
-            .collect();
-        let slots_per_mat = self.geometry.slots_per_mat() as usize;
-        match self.pool_shard_plan.clone() {
-            Some(plan) => {
-                pool.lease_with_shards(first_mat, span, slots_per_mat, self.scalar_oracle, &plan);
-            }
-            None => pool.lease(first_mat, span, slots_per_mat, self.scalar_oracle),
-        }
-        pool
-    }
-
-    /// Moves the leased mats back into the chip and parks the pool for
-    /// the next session.
-    fn restore_pool(&mut self, first_mat: usize, mut pool: MatPool) {
-        for (offset, mat) in pool.unlease().into_iter().enumerate() {
-            self.mats[first_mat + offset] = mat;
-        }
-        self.pool = Some(pool);
     }
 
     /// Indices of the first and last mats a `[begin, end)` range touches.
@@ -827,47 +659,6 @@ impl Chip {
         }
     }
 
-    /// Pool-scheduled twin of [`Chip::converge_host`]: the span's mats
-    /// live in `pool` (leased from `first_mat`), and the whole bit-serial
-    /// descent runs as a *single* broadcast→fold round trip
-    /// ([`MatPool::descend`]).
-    fn converge_pooled(
-        &mut self,
-        first_mat: usize,
-        pool: &mut MatPool,
-        plan: &SearchPlan,
-        membership: MembershipSource<'_>,
-        dirty: Dirty<'_>,
-    ) -> ExtractHit {
-        let probe = self.probe.clone();
-        let mut descend_ns = 0u64;
-        let excluded = &self.excluded;
-        let capacity = self.geometry.capacity_slots() as usize;
-        // Shared membership doubles as the fused rearm payload: the
-        // workers re-latch their select windows inside the descend
-        // request (one wake cycle, not two). The rebuild path loads
-        // selects host-side before leasing, so no rearm rides along.
-        let rearm = match membership {
-            MembershipSource::Shared(m) => Some(m),
-            MembershipSource::Rebuild { .. } => None,
-        };
-        // Replay membership (global slot indexing), materialized only if
-        // the fold actually replays — never on the natural path.
-        let mut membership_fn = || match membership {
-            MembershipSource::Shared(m) => Arc::clone(m),
-            MembershipSource::Rebuild { begin, end } => {
-                let mut m = Bitmap::zeros(capacity);
-                m.set_range(begin as usize, end as usize);
-                m.and_not_assign(excluded);
-                Arc::new(m)
-            }
-        };
-        let outcome = timed(&probe, &mut descend_ns, || {
-            pool.descend(plan, rearm, dirty, &mut membership_fn)
-        });
-        self.finish_descent(first_mat, &outcome, descend_ns)
-    }
-
     /// Memoized twin of [`Chip::converge_host`] for batch extraction:
     /// `traces` holds one trace per span mat, kept across the batch.
     /// Mats whose trace is missing (the first key, the previous winner's
@@ -883,7 +674,7 @@ impl Chip {
     ) -> ExtractHit {
         let probe = self.probe.clone();
         let per_mat = self.geometry.slots_per_mat() as usize;
-        let (scalar, bail_at) = (self.scalar_oracle, self.pool_force_replay);
+        let (scalar, bail_at) = (self.scalar_oracle, self.force_replay);
         let span = &mut self.mats[first_mat..first_mat + traces.len()];
         let mut respeculated = 0;
         let mut descend_ns = 0u64;
@@ -897,10 +688,18 @@ impl Chip {
                 }
             }
             descent::fold(plan, traces, &mut |targets, prefix, sv, traces| {
-                for &i in targets {
-                    let mat = span[i].as_mut().expect("span mats are materialized");
-                    let window = (first_mat + i) * per_mat;
-                    traces[i] = descent::replay(mat, scalar, plan, membership, window, prefix, sv);
+                let mut replay_ns = 0u64;
+                timed(&probe, &mut replay_ns, || {
+                    for &i in targets {
+                        let mat = span[i].as_mut().expect("span mats are materialized");
+                        let window = (first_mat + i) * per_mat;
+                        traces[i] =
+                            descent::replay(mat, scalar, plan, membership, window, prefix, sv);
+                    }
+                });
+                if let Some(p) = &probe {
+                    let suffix = u64::from(plan.steps() - prefix.resume);
+                    p.descent_replay(targets.len() as u64 * suffix, replay_ns);
                 }
             })
         });
@@ -913,7 +712,7 @@ impl Chip {
         hit
     }
 
-    /// Shared tail of the folded descents: applies the fold's counts to
+    /// Tail of the memoized descent: applies the fold's counts to
     /// [`OpCounters`] exactly as [`Chip::converge_host`] would have
     /// counted them, priority-encodes the winner from the fold's per-mat
     /// firsts, and flags it excluded.
@@ -995,8 +794,8 @@ impl Chip {
 
     /// Restores the chip's durable state from a snapshot taken on a chip
     /// of the same geometry. Select latches come up cleared (every
-    /// extraction re-arms them), the H-tree is rebuilt fresh, and any
-    /// leased worker pool is dropped. Scheduling knobs are kept.
+    /// extraction re-arms them) and the H-tree is rebuilt fresh.
+    /// Scheduling knobs are kept.
     ///
     /// Returns `false` — leaving the chip untouched — when the snapshot
     /// disagrees with this chip's geometry or is internally inconsistent.
@@ -1022,7 +821,6 @@ impl Chip {
         self.format = state.format;
         self.range = state.range;
         self.counters = state.counters;
-        self.pool = None;
         true
     }
 
@@ -1320,16 +1118,12 @@ mod tests {
 
     #[test]
     fn parallel_policy_is_observationally_invisible() {
-        // Same keys, every scheduling policy (inline walk, persistent
-        // pool, Auto's memoized descent): identical hit streams and
-        // identical counters (the wire-OR merge is order-independent).
+        // Same keys, both scheduling policies (inline walk, Auto's
+        // memoized descent): identical hit streams and identical
+        // counters (the wire-OR merge is order-independent).
         let keys: Vec<u32> = (0..64).map(|i| (i * 2654435761u64 % 997) as u32).collect();
         let mut reference: Option<(Vec<ExtractHit>, OpCounters)> = None;
-        for policy in [
-            ParallelPolicy::Sequential,
-            ParallelPolicy::Threads(3),
-            ParallelPolicy::Auto,
-        ] {
+        for policy in [ParallelPolicy::Sequential, ParallelPolicy::Auto] {
             let mut chip = chip_with(&keys);
             chip.set_parallel_policy(policy);
             let hits = chip.extract_batch(Direction::Min, keys.len() + 1).unwrap();
@@ -1344,45 +1138,13 @@ mod tests {
     }
 
     #[test]
-    fn pool_survives_across_sessions_and_interleaved_ranges() {
-        // The persistent pool is parked between sessions and reused; an
-        // interleaved single extract and a policy that alternates worker
-        // counts must all stay correct.
-        let mut chip = Chip::new(ChipGeometry::tiny());
-        let keys: Vec<u64> = (0..40).map(|i| (i * 7919 % 241) as u64).collect();
-        chip.store_keys(0, &keys, KeyFormat::UNSIGNED64).unwrap();
-        chip.init_range(0, 40, KeyFormat::UNSIGNED64).unwrap();
-        chip.set_parallel_policy(ParallelPolicy::Threads(2));
-        let first = chip.extract_batch(Direction::Min, 3).unwrap();
-        chip.set_parallel_policy(ParallelPolicy::Threads(4));
-        let second = chip.extract_batch(Direction::Min, 3).unwrap();
-        chip.set_parallel_policy(ParallelPolicy::Threads(2));
-        let third: Vec<ExtractHit> =
-            std::iter::from_fn(|| chip.extract(Direction::Min).unwrap()).collect();
-        let got: Vec<u64> = first
-            .iter()
-            .chain(&second)
-            .chain(&third)
-            .map(|h| h.raw_bits)
-            .collect();
-        let mut want = keys.clone();
-        want.sort_unstable();
-        assert_eq!(got, want);
-        // A clone leaves the worker threads behind but keeps the data.
-        let mut cloned = chip.clone();
-        cloned.init_range(0, 40, KeyFormat::UNSIGNED64).unwrap();
-        let redo = cloned.extract_batch(Direction::Min, 41).unwrap();
-        assert_eq!(redo.iter().map(|h| h.raw_bits).collect::<Vec<_>>(), want);
-    }
-
-    #[test]
     fn batch_spans_mats_with_stable_ties() {
         // tiny geometry: 2 mats × 32 slots; duplicate keys across mats.
         let mut chip = Chip::new(ChipGeometry::tiny());
         chip.store_keys(30, &[7, 3], KeyFormat::UNSIGNED32).unwrap();
         chip.store_keys(33, &[3, 9], KeyFormat::UNSIGNED32).unwrap();
         chip.init_range(30, 35, KeyFormat::UNSIGNED32).unwrap();
-        chip.set_parallel_policy(ParallelPolicy::Threads(2));
+        chip.set_parallel_policy(ParallelPolicy::Auto);
         let hits = chip.extract_batch(Direction::Min, 5).unwrap();
         // Slot 32 is an in-range empty slot holding 0 — it ranks first;
         // the tied 3s resolve to the lower address (31 before 33).

@@ -1,7 +1,6 @@
 //! Speculative per-mat descents and the fold that rebuilds the global
-//! one (§IV-B.2, Fig. 9). Thread-free: the chip's memoized batch path
-//! runs it inline and the mat pool ([`crate::pool`]) runs the same code
-//! on its workers.
+//! one (§IV-B.2, Fig. 9), run on the calling thread by the chip's
+//! memoized batch path.
 //!
 //! A descent can be split by mat. Each mat runs the whole bit-serial
 //! descent *speculatively* against its own signals and records a
@@ -642,5 +641,54 @@ mod tests {
         assert_eq!(out.steps_executed, 32);
         assert_eq!(out.firsts, vec![Some(2), Some(0), Some(1)]);
         assert_eq!(out.raws, vec![7, 7, 7]);
+    }
+
+    #[test]
+    fn forced_bails_replay_to_the_natural_fold() {
+        // Five 8-slot mats under one global membership. Speculations that
+        // bail early must drive the fold through `replay` and still land
+        // on the natural fold's outcome; the natural path never replays.
+        let plan = SearchPlan::new(KeyFormat::UNSIGNED64, Direction::Min);
+        let keys: Vec<u64> = (0..40u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        let mut membership = Bitmap::zeros(keys.len());
+        membership.set_range(0, keys.len());
+        let run = |bail_at: Option<u16>| {
+            let mut mats: Vec<Mat> = keys
+                .chunks(8)
+                .enumerate()
+                .map(|(m, chunk)| {
+                    let mut mat = Mat::new(1, 8);
+                    for (slot, &raw) in chunk.iter().enumerate() {
+                        mat.write_slot(slot as u32, raw);
+                    }
+                    mat.load_select_window(&membership, m * 8);
+                    mat
+                })
+                .collect();
+            let mut traces: Vec<MatTrace> = mats
+                .iter_mut()
+                .map(|mat| speculate(mat, false, &plan, 0, false, bail_at))
+                .collect();
+            fold(&plan, &mut traces, &mut |targets, prefix, sv, traces| {
+                for &i in targets {
+                    traces[i] = replay(&mut mats[i], false, &plan, &membership, i * 8, prefix, sv);
+                }
+            })
+        };
+        let want = run(None);
+        assert_eq!(want.replays, 0, "natural path must never replay");
+        for bail in [0u16, 1, 17, 63] {
+            let got = run(Some(bail));
+            assert_eq!(got.steps_executed, want.steps_executed, "bail {bail}");
+            assert_eq!(got.mat_searches, want.mat_searches, "bail {bail}");
+            assert_eq!(got.removed_per_step, want.removed_per_step, "bail {bail}");
+            assert_eq!(got.firsts, want.firsts, "bail {bail}");
+            assert_eq!(got.raws, want.raws, "bail {bail}");
+            if bail < got.steps_executed {
+                assert!(got.replays > 0, "bail {bail} must force a replay");
+            }
+        }
     }
 }

@@ -26,10 +26,11 @@
 //!   coordinates multi-mat exclusion with the two-signal protocol (Fig. 9)
 //!   and streams ranked values. Batch extraction memoizes each mat's
 //!   speculative descent, so after a hit only the winner's mat re-descends.
-//! * [`pool`] — the persistent mat-shard worker pool behind
-//!   `ParallelPolicy::Threads`, driven with epoch-tagged descent broadcasts.
+//! * [`pool`] — a one-shot host calibration for benchmarks: the round
+//!   trip to a parked worker thread against the bit-sliced word cost.
 //! * [`probe`] — zero-cost-when-disabled observation hooks for extraction
-//!   phases and pool activity (rime-core's metrics layer plugs in here).
+//!   phases and the memoized descent (rime-core's metrics layer plugs in
+//!   here).
 //! * [`timing`] / [`counters`] — Table I device timings and energy, and
 //!   the typed event counters every operation increments.
 //! * [`lifetime`] — write-endurance tracking and lifetime estimation
@@ -99,7 +100,7 @@ pub use htree::IndexTree;
 pub use lifetime::EnduranceTracker;
 pub use mat::{Mat, MatCommand, MatResponse, MatState};
 pub use plan::{Direction, SearchPlan};
-pub use pool::{pool_calibration, MatPool, PoolCalibration};
+pub use pool::{pool_calibration, PoolCalibration};
 pub use probe::{ExtractionProbe, Phase, SharedProbe};
 pub use selftest::{march_test, SelfTestReport};
 pub use storage::NormalStorageView;

@@ -1,4 +1,4 @@
-//! Observation hooks for extraction phases and the mat-shard pool.
+//! Observation hooks for extraction phases and the memoized descent.
 //!
 //! The chip model is deliberately free of any metrics dependency: higher
 //! layers (rime-core's metrics registry) implement [`ExtractionProbe`] and
@@ -8,7 +8,7 @@
 //!
 //! Two kinds of payload flow through a probe:
 //!
-//! - **Modeled quantities** (operation counts, step counts, shard sizes)
+//! - **Modeled quantities** (operation counts, step counts, memoized mats)
 //!   are derived from the bit-accurate simulation and are deterministic
 //!   for a fixed workload and [`crate::ParallelPolicy`].
 //! - **Wall-clock nanoseconds** measure the host simulation and are
@@ -50,12 +50,12 @@ impl Phase {
     }
 }
 
-/// Observer for chip extraction phases and mat-pool activity.
+/// Observer for chip extraction phases and memoized-descent activity.
 ///
 /// All methods take `&self`: implementations are expected to be cheap,
-/// lock-free aggregators (atomics), shared via `Arc` between the chip and
-/// its parked pool. Default implementations are no-ops so implementors can
-/// subscribe to a subset of the surface.
+/// lock-free aggregators (atomics), held as a [`SharedProbe`]. Default
+/// implementations are no-ops so implementors can subscribe to a subset
+/// of the surface.
 pub trait ExtractionProbe: Send + Sync {
     /// One completed phase: total wall nanoseconds spent in the phase and
     /// the number of device operations it performed (sense steps,
@@ -69,37 +69,21 @@ pub trait ExtractionProbe: Send + Sync {
     /// Rows deselected by a single exclusion step.
     fn excluded_step(&self, _removed: u64) {}
 
-    /// A pool session opened: worker count, mats leased, and the largest /
-    /// smallest shard sizes (their difference is the imbalance gauge).
-    fn pool_lease(&self, _workers: usize, _mats: usize, _largest: usize, _smallest: usize) {}
+    /// One fold-driven suffix replay of the memoized descent: `steps`
+    /// is the number of suffix steps re-executed across the replayed
+    /// mats, `wall_ns` the wall-clock cost of the replay. The natural
+    /// path never replays, so any report here means the defensive bound
+    /// fired (or the force-replay test knob is armed).
+    fn descent_replay(&self, _steps: u64, _wall_ns: u64) {}
 
-    /// A pool session closed (mats restored to the chip).
-    fn pool_unlease(&self) {}
-
-    /// One broadcast→fold round trip across all workers (a sense, exclude,
-    /// first-selected, or read-slot epoch step), in wall nanoseconds.
-    fn pool_step(&self, _wall_ns: u64) {}
-
-    /// Per-worker session report: nanoseconds the worker spent processing
-    /// requests (busy) versus the whole session duration; the difference
-    /// is time parked on the channel.
-    fn pool_worker(&self, _worker: usize, _busy_ns: u64, _session_ns: u64) {}
-
-    /// One fold-driven suffix replay: `steps` is the total number of
-    /// decided epoch steps re-executed across the lagging/divergent
-    /// shards, `wall_ns` the wall-clock cost of issuing and completing
-    /// the replay. Keeps replayed work distinguishable from first-run
-    /// speculation (which reports through [`ExtractionProbe::pool_step`]).
-    fn pool_replay(&self, _steps: u64, _wall_ns: u64) {}
-
-    /// One memoized descent folded (the chip's batch path or the pool):
-    /// how many mats re-speculated versus how many were answered from
-    /// their memoized trace. After the first key of a batch a clean
+    /// One memoized descent folded (the chip's batch path): how many
+    /// mats re-speculated versus how many were answered from their
+    /// memoized trace. After the first key of a batch a clean
     /// descent reports `(1, mats - 1)`.
     fn memo_descend(&self, _respeculated_mats: usize, _memoized_mats: usize) {}
 }
 
-/// Shared probe handle as stored by [`crate::Chip`] and [`crate::MatPool`].
+/// Shared probe handle as stored by [`crate::Chip`].
 pub type SharedProbe = Arc<dyn ExtractionProbe>;
 
 /// Runs `f`, adding its wall-clock duration to `acc` only when a probe is
@@ -169,11 +153,7 @@ mod tests {
         q.phase(Phase::Sense, 1, 1);
         q.extraction(3);
         q.excluded_step(2);
-        q.pool_lease(4, 16, 4, 4);
-        q.pool_unlease();
-        q.pool_step(10);
-        q.pool_worker(0, 5, 9);
-        q.pool_replay(3, 100);
+        q.descent_replay(3, 100);
         q.memo_descend(1, 3);
     }
 }

@@ -67,17 +67,17 @@ fn software_reference(
     order
 }
 
-/// Runs the full differential check for one key set; returns the batch
-/// hits and both counter snapshots for the caller's assertions.
+/// Runs the full differential check for one key set (an `Auto` batch
+/// against a `Sequential` single-extract drain); returns the batch hits
+/// and both counter snapshots for the caller's assertions.
 fn check<T: SortableBits>(
     keys: &[T],
     mats: u16,
     k: usize,
     direction: Direction,
-    policy: ParallelPolicy,
 ) -> (Vec<ExtractHit>, OpCounters, OpCounters) {
     let raw: Vec<u64> = keys.iter().map(|v| v.to_raw_bits()).collect();
-    let mut batch_chip = loaded_chip(&raw, T::FORMAT, mats, policy);
+    let mut batch_chip = loaded_chip(&raw, T::FORMAT, mats, ParallelPolicy::Auto);
     let mut seq_chip = loaded_chip(&raw, T::FORMAT, mats, ParallelPolicy::Sequential);
 
     let batch = batch_chip.extract_batch(direction, k).unwrap();
@@ -103,7 +103,7 @@ proptest! {
     ) {
         prop_assume!(keys.len() as u64 <= u64::from(mats) * 32);
         let direction = if max { Direction::Max } else { Direction::Min };
-        let (_, bc, sc) = check(&keys, mats, k, direction, ParallelPolicy::Threads(3));
+        let (_, bc, sc) = check(&keys, mats, k, direction);
         prop_assert_eq!(bc, sc, "OpCounters must be identical");
     }
 
@@ -114,7 +114,7 @@ proptest! {
         k in 0usize..100,
     ) {
         prop_assume!(keys.len() as u64 <= u64::from(mats) * 32);
-        let (_, bc, sc) = check(&keys, mats, k, Direction::Min, ParallelPolicy::Auto);
+        let (_, bc, sc) = check(&keys, mats, k, Direction::Min);
         prop_assert_eq!(bc, sc, "OpCounters must be identical");
     }
 
@@ -127,7 +127,7 @@ proptest! {
     ) {
         prop_assume!(keys.len() as u64 <= u64::from(mats) * 32);
         let direction = if max { Direction::Max } else { Direction::Min };
-        let (_, bc, sc) = check(&keys, mats, k, direction, ParallelPolicy::Threads(2));
+        let (_, bc, sc) = check(&keys, mats, k, direction);
         prop_assert_eq!(bc, sc, "OpCounters must be identical");
     }
 
@@ -140,7 +140,7 @@ proptest! {
         prop_assume!(keys.len() as u64 <= u64::from(mats) * 32);
         // `check` already asserts slots come out lowest-address-first
         // among ties via the software reference.
-        let (_, bc, sc) = check(&keys, mats, k, Direction::Min, ParallelPolicy::Threads(4));
+        let (_, bc, sc) = check(&keys, mats, k, Direction::Min);
         prop_assert_eq!(bc, sc, "OpCounters must be identical");
     }
 
@@ -149,7 +149,7 @@ proptest! {
         keys in prop::collection::vec(any::<u32>(), 1..32),
         k in 0usize..40,
     ) {
-        let (_, bc, sc) = check(&keys, 1, k, Direction::Min, ParallelPolicy::Threads(3));
+        let (_, bc, sc) = check(&keys, 1, k, Direction::Min);
         prop_assert_eq!(bc, sc, "OpCounters must be identical");
     }
 

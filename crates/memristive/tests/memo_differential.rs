@@ -89,7 +89,7 @@ fn run(s: &Scenario, arm: Arm) -> Observed {
     let mut chip = Chip::new(geometry(s.mats));
     chip.set_parallel_policy(arm.policy);
     chip.set_scalar_oracle(arm.scalar);
-    chip.set_pool_force_replay(arm.force_replay);
+    chip.set_force_replay(arm.force_replay);
     let log = Arc::new(StepLog::default());
     chip.set_probe(Some(log.clone()));
     chip.store_keys(0, &s.raw, s.format).unwrap();

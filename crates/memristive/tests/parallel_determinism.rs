@@ -1,19 +1,16 @@
-//! Scheduling-invariance properties for the mat fan-out: the persistent
-//! shard pool ([`rime_memristive::MatPool`] behind
-//! `ParallelPolicy::Threads`) and `Auto`'s memoized per-mat descent must
-//! both be observationally identical to `Sequential` — same hit streams, same
-//! raw bits, and bit-identical [`rime_memristive::OpCounters`] — across
-//! random formats, thread counts, injected stuck-at faults, and batch
-//! sizes. This is the executable form of the pool's fixed-order
-//! reduction argument (wire-OR and removed-row sums are commutative
-//! over disjoint shards, merged in worker order).
+//! Scheduling-invariance properties for the mat fan-out: `Auto`'s
+//! memoized per-mat descent must be observationally identical to
+//! `Sequential` — same hit streams, same raw bits, and bit-identical
+//! [`rime_memristive::OpCounters`] — across random formats, injected
+//! stuck-at faults, and batch sizes. This is the executable form of the
+//! fold's fixed-order reduction argument (wire-OR and removed-row sums
+//! are commutative over disjoint mats, merged in mat order).
 //!
-//! Both run each descent *speculatively* — every mat races ahead on its
-//! own signals and the controller folds the traces into the global
+//! `Auto` runs each descent *speculatively* — every mat races ahead on
+//! its own signals and the chip folds the traces into the global
 //! decision sequence, replaying divergent suffixes. The same properties
-//! therefore also run with the force-replay knob armed (every descent
-//! takes the replay path) and under adversarial shard plans (1-mat
-//! shards, maximal imbalance with empty shards), pinning that
+//! therefore also run with the force-replay knob armed at several bail
+//! points (every descent takes the replay path), pinning that
 //! speculation + replay is bit-identical to `Sequential` too.
 
 use proptest::prelude::*;
@@ -37,8 +34,10 @@ fn geometry(mats: u16) -> ChipGeometry {
     }
 }
 
-/// Runs one full scenario under `policy`: store, fault injection, init,
-/// one batch extraction, one single-extract continuation. Returns
+/// Runs one full scenario under `policy`, with every initial
+/// speculation bailing after `force_replay` steps when set (driving the
+/// fold through divergence replay): store, fault injection, init, one
+/// batch extraction, one single-extract continuation. Returns
 /// everything observable.
 fn run_policy<T: SortableBits>(
     keys: &[T],
@@ -47,29 +46,11 @@ fn run_policy<T: SortableBits>(
     direction: Direction,
     k: usize,
     policy: ParallelPolicy,
-) -> (Vec<ExtractHit>, Option<ExtractHit>, OpCounters) {
-    run_policy_with(keys, mats, faults, direction, k, policy, None, None)
-}
-
-/// [`run_policy`] with the speculative-path knobs armed: `force_replay`
-/// bails every initial speculation after that many steps (driving the
-/// fold through divergence replay) and `shard_plan` pins an explicit
-/// per-worker shard split for every pool lease.
-#[allow(clippy::too_many_arguments)]
-fn run_policy_with<T: SortableBits>(
-    keys: &[T],
-    mats: u16,
-    faults: &[(u64, u16, bool)],
-    direction: Direction,
-    k: usize,
-    policy: ParallelPolicy,
     force_replay: Option<u16>,
-    shard_plan: Option<Vec<usize>>,
 ) -> (Vec<ExtractHit>, Option<ExtractHit>, OpCounters) {
     let mut chip = Chip::new(geometry(mats));
     chip.set_parallel_policy(policy);
-    chip.set_pool_force_replay(force_replay);
-    chip.set_pool_shard_plan(shard_plan);
+    chip.set_force_replay(force_replay);
     let raw: Vec<u64> = keys.iter().map(|v| v.to_raw_bits()).collect();
     chip.store_keys(0, &raw, T::FORMAT).unwrap();
     for &(slot, bit, stuck) in faults {
@@ -82,55 +63,39 @@ fn run_policy_with<T: SortableBits>(
     (hits, next, *chip.counters())
 }
 
-/// Asserts every scheduling policy reproduces the `Sequential` oracle
-/// bit for bit: hits (slots, raw bits, step counts), the single-extract
-/// continuation, and all counters.
+/// Asserts `Auto` reproduces the `Sequential` oracle bit for bit —
+/// hits (slots, raw bits, step counts), the single-extract
+/// continuation, and all counters — naturally and with forced
+/// divergence replay at several bail points.
 fn assert_policies_agree<T: SortableBits>(
     keys: &[T],
     mats: u16,
     faults: &[(u64, u16, bool)],
     direction: Direction,
     k: usize,
-    threads: usize,
 ) -> Result<(), TestCaseError> {
-    let want = run_policy(keys, mats, faults, direction, k, ParallelPolicy::Sequential);
-    for policy in [ParallelPolicy::Threads(threads), ParallelPolicy::Auto] {
-        let got = run_policy(keys, mats, faults, direction, k, policy);
-        prop_assert_eq!(&got.0, &want.0, "hit stream under {:?}", policy);
-        prop_assert_eq!(got.1, want.1, "continuation under {:?}", policy);
-        prop_assert_eq!(got.2, want.2, "counters under {:?}", policy);
-    }
-
-    // Speculative-path adversaries: forced divergence replay at several
-    // bail points, and shard plans the default chunking never produces —
-    // every shard a single mat, and one worker owning the whole span
-    // while the rest sit on empty shards. All must still be
-    // bit-identical to the Sequential oracle.
-    let span = (keys.len() - 1) / SLOTS_PER_MAT as usize + 1;
-    let single_mat_shards = vec![1usize; span];
-    let mut max_imbalance = vec![0usize; 3];
-    max_imbalance[0] = span;
-    let scenarios: [(Option<u16>, Option<Vec<usize>>); 4] = [
-        (Some(0), None),
-        (Some(9), None),
-        (None, Some(single_mat_shards)),
-        (Some(3), Some(max_imbalance)),
-    ];
-    for (force, plan) in scenarios {
-        let label = (force, plan.clone());
-        let got = run_policy_with(
+    let want = run_policy(
+        keys,
+        mats,
+        faults,
+        direction,
+        k,
+        ParallelPolicy::Sequential,
+        None,
+    );
+    for force in [None, Some(0), Some(3), Some(9)] {
+        let got = run_policy(
             keys,
             mats,
             faults,
             direction,
             k,
-            ParallelPolicy::Threads(threads),
+            ParallelPolicy::Auto,
             force,
-            plan,
         );
-        prop_assert_eq!(&got.0, &want.0, "hit stream under knobs {:?}", &label);
-        prop_assert_eq!(got.1, want.1, "continuation under knobs {:?}", &label);
-        prop_assert_eq!(got.2, want.2, "counters under knobs {:?}", &label);
+        prop_assert_eq!(&got.0, &want.0, "hit stream under force {:?}", force);
+        prop_assert_eq!(got.1, want.1, "continuation under force {:?}", force);
+        prop_assert_eq!(got.2, want.2, "counters under force {:?}", force);
     }
     Ok(())
 }
@@ -157,13 +122,12 @@ proptest! {
         fault_bits in prop::collection::vec(0u16..64, 5..=5),
         fault_stuck in prop::collection::vec(any::<bool>(), 5..=5),
         k in 0usize..32,
-        threads in 2usize..6,
         max in any::<bool>(),
     ) {
         prop_assume!(keys.len() as u64 <= u64::from(mats) * SLOTS_PER_MAT);
         let direction = if max { Direction::Max } else { Direction::Min };
         let faults = zip_faults(&fault_slots, &fault_bits, &fault_stuck);
-        assert_policies_agree(&keys, mats, &faults, direction, k, threads)?;
+        assert_policies_agree(&keys, mats, &faults, direction, k)?;
     }
 
     #[test]
@@ -174,11 +138,10 @@ proptest! {
         fault_bits in prop::collection::vec(0u16..32, 5..=5),
         fault_stuck in prop::collection::vec(any::<bool>(), 5..=5),
         k in 0usize..32,
-        threads in 2usize..6,
     ) {
         prop_assume!(keys.len() as u64 <= u64::from(mats) * SLOTS_PER_MAT);
         let faults = zip_faults(&fault_slots, &fault_bits, &fault_stuck);
-        assert_policies_agree(&keys, mats, &faults, Direction::Min, k, threads)?;
+        assert_policies_agree(&keys, mats, &faults, Direction::Min, k)?;
     }
 
     #[test]
@@ -189,66 +152,52 @@ proptest! {
         fault_bits in prop::collection::vec(0u16..32, 5..=5),
         fault_stuck in prop::collection::vec(any::<bool>(), 5..=5),
         k in 0usize..32,
-        threads in 2usize..6,
         max in any::<bool>(),
     ) {
         prop_assume!(keys.len() as u64 <= u64::from(mats) * SLOTS_PER_MAT);
         let direction = if max { Direction::Max } else { Direction::Min };
         let faults = zip_faults(&fault_slots, &fault_bits, &fault_stuck);
-        assert_policies_agree(&keys, mats, &faults, direction, k, threads)?;
+        assert_policies_agree(&keys, mats, &faults, direction, k)?;
     }
 }
 
-/// A wide fixed-span drain: 18 mats fully populated, drained to
-/// exhaustion under every policy, with the pool reused across an
-/// interleaved re-init. Deterministic (non-proptest) so it always runs
-/// the wide-span pool path even if case generation trends narrow.
+/// A wide fixed-span drain: 18 mats fully populated, half drained under
+/// every policy (and under `Auto` with every descent bailing into the
+/// replay path), then re-initialized mid-drain. Deterministic
+/// (non-proptest) so it always runs the wide-span memoized path even if
+/// case generation trends narrow.
 #[test]
 fn wide_span_drain_is_policy_invariant() {
     let mats = 18u16;
     let n = u64::from(mats) * SLOTS_PER_MAT;
     let keys: Vec<u64> = (0..n).map(|i| (i * 2654435761) % 4093).collect();
     let mut reference: Option<(Vec<ExtractHit>, OpCounters)> = None;
-    for policy in [
-        ParallelPolicy::Sequential,
-        ParallelPolicy::Threads(2),
-        ParallelPolicy::Threads(5),
-        ParallelPolicy::Auto,
+    for (policy, force) in [
+        (ParallelPolicy::Sequential, None),
+        (ParallelPolicy::Auto, None),
+        (ParallelPolicy::Auto, Some(5)),
     ] {
         let mut chip = Chip::new(geometry(mats));
         chip.set_parallel_policy(policy);
+        chip.set_force_replay(force);
         chip.store_keys(0, &keys, u64::FORMAT).unwrap();
         chip.init_range(0, n, u64::FORMAT).unwrap();
         let mut hits = chip
             .extract_batch(Direction::Min, (n / 2) as usize)
             .unwrap();
-        // Re-init mid-drain: the parked pool must rearm cleanly.
+        // Re-init mid-drain: the next batch must rearm cleanly.
         chip.init_range(0, n, u64::FORMAT).unwrap();
         hits.extend(chip.extract_batch(Direction::Max, 8).unwrap());
         match &reference {
             None => reference = Some((hits, *chip.counters())),
             Some((want_hits, want_counters)) => {
-                assert_eq!(&hits, want_hits, "{policy:?}");
-                assert_eq!(chip.counters(), want_counters, "{policy:?}");
+                assert_eq!(&hits, want_hits, "{policy:?}, force {force:?}");
+                assert_eq!(
+                    chip.counters(),
+                    want_counters,
+                    "{policy:?}, force {force:?}"
+                );
             }
         }
     }
-
-    // Same drain with the speculative knobs armed: every descent bails
-    // into the replay path and the lease splits 16/0/2 across three
-    // workers (one near-total shard, one empty, one tiny).
-    let (want_hits, want_counters) = reference.expect("reference recorded");
-    let mut chip = Chip::new(geometry(mats));
-    chip.set_parallel_policy(ParallelPolicy::Threads(3));
-    chip.set_pool_force_replay(Some(5));
-    chip.set_pool_shard_plan(Some(vec![16, 0, 2]));
-    chip.store_keys(0, &keys, u64::FORMAT).unwrap();
-    chip.init_range(0, n, u64::FORMAT).unwrap();
-    let mut hits = chip
-        .extract_batch(Direction::Min, (n / 2) as usize)
-        .unwrap();
-    chip.init_range(0, n, u64::FORMAT).unwrap();
-    hits.extend(chip.extract_batch(Direction::Max, 8).unwrap());
-    assert_eq!(hits, want_hits, "forced replay + adversarial shards");
-    assert_eq!(*chip.counters(), want_counters);
 }

@@ -81,7 +81,7 @@ fn drain(seen: &Arc<Mutex<Vec<u64>>>) -> Vec<u64> {
 #[test]
 fn all_sinks_observe_identical_seq_streams_under_concurrency() {
     let dev = RimeDevice::new(config());
-    dev.set_parallel_policy(ParallelPolicy::Threads(2));
+    dev.set_parallel_policy(ParallelPolicy::Auto);
 
     let (metrics, metrics_seqs) = SeqLog::new(MetricsSink::new(
         MetricsRegistry::new(),
@@ -157,81 +157,11 @@ fn masked_run(policy: ParallelPolicy) -> (String, rime_core::Snapshot, rime_core
     (snapshot.masked().to_json(false), snapshot, dev.counters())
 }
 
-/// Regression for the PR-7 observability gap: a pooled extraction must
-/// actually land samples in the pool wall-clock metrics — the committed
-/// full-mode bench snapshot showed them all-zero because only the
-/// *masked* snapshot (which rightly zeroes nondeterministic series) was
-/// exported, hiding whether the probes ever fired. Pin the unmasked
-/// truth: nonzero step-latency count, nonzero worker busy/park totals,
-/// and masking zeroing all of them.
-#[test]
-fn pooled_extraction_lands_nonzero_pool_metrics() {
-    let dev = RimeDevice::new(config());
-    dev.enable_extraction_metrics();
-    dev.set_parallel_policy(ParallelPolicy::Threads(3));
-    let n = dev.capacity();
-    let region = dev.alloc(n).expect("alloc");
-    let data = keys(n);
-    dev.write_raw(region, 0, &data, KeyFormat::UNSIGNED64)
-        .expect("store");
-    dev.init_raw(region, 0, n, KeyFormat::UNSIGNED64)
-        .expect("init");
-    let hits = dev
-        .next_extremes_raw(region, KeyFormat::UNSIGNED64, Direction::Min, 16)
-        .expect("batch");
-    assert_eq!(hits.len(), 16);
-
-    let snapshot = dev.metrics_snapshot();
-    let find = |name: &str| {
-        snapshot
-            .metrics
-            .iter()
-            .filter(move |m| m.name == name)
-            .collect::<Vec<_>>()
-    };
-    let steps = find("rime_pool_step_wall_ns");
-    assert!(!steps.is_empty(), "pool step latency metric registered");
-    let step_count: u64 = steps
-        .iter()
-        .map(|m| match &m.value {
-            MetricValue::Histogram(h) => h.count,
-            other => panic!("step latency is not a histogram: {other:?}"),
-        })
-        .sum();
-    assert!(step_count > 0, "pooled extraction recorded no step latency");
-
-    let busy: i128 = find("rime_pool_worker_busy_ns_total")
-        .iter()
-        .map(|m| match &m.value {
-            MetricValue::Counter(v) => i128::from(*v),
-            other => panic!("busy total is not a counter: {other:?}"),
-        })
-        .sum();
-    assert!(busy > 0, "workers reported no busy time");
-    assert!(
-        !find("rime_pool_worker_park_ns_total").is_empty(),
-        "park totals registered"
-    );
-
-    // Masking — the determinism contract — zeroes all of the above.
-    let masked = snapshot.masked();
-    for m in &masked.metrics {
-        if m.name == "rime_pool_step_wall_ns" {
-            match &m.value {
-                MetricValue::Histogram(h) => assert_eq!(h.count, 0),
-                other => panic!("{other:?}"),
-            }
-        }
-        if m.name == "rime_pool_worker_busy_ns_total" {
-            assert!(matches!(m.value, MetricValue::Counter(0)));
-        }
-    }
-}
-
-/// Drives one pooled batch extraction on a bare [`Chip`] wearing a
-/// [`ChipProbe`], with the forced-replay bail knob optionally armed,
-/// and returns a named-counter reader over the resulting snapshot.
-fn pooled_chip_run(force_replay: Option<u16>) -> impl Fn(&str) -> u64 {
+/// Drives one memoized (`Auto`) batch extraction on a bare [`Chip`]
+/// wearing a [`ChipProbe`], with the forced-replay bail knob optionally
+/// armed, and returns a named-counter reader over the resulting
+/// snapshot.
+fn memo_chip_run(force_replay: Option<u16>) -> impl Fn(&str) -> u64 {
     let registry = MetricsRegistry::new();
     let probe = ChipProbe::new(&registry, ArrayTiming::table1(), 0);
     let mut chip = Chip::new(ChipGeometry {
@@ -242,8 +172,8 @@ fn pooled_chip_run(force_replay: Option<u16>) -> impl Fn(&str) -> u64 {
         rows: 4,
         cols: 64,
     });
-    chip.set_parallel_policy(ParallelPolicy::Threads(3));
-    chip.set_pool_force_replay(force_replay);
+    chip.set_parallel_policy(ParallelPolicy::Auto);
+    chip.set_force_replay(force_replay);
     chip.set_probe(Some(Arc::new(probe)));
     let n = chip.capacity();
     let data = keys(n);
@@ -252,7 +182,7 @@ fn pooled_chip_run(force_replay: Option<u16>) -> impl Fn(&str) -> u64 {
     chip.init_range(0, n, KeyFormat::UNSIGNED64).expect("init");
     let hits = chip
         .extract_batch(Direction::Min, 16)
-        .expect("pooled batch");
+        .expect("memoized batch");
     assert_eq!(hits.len(), 16);
     let snapshot = registry.snapshot();
     move |name: &str| -> u64 {
@@ -269,32 +199,38 @@ fn pooled_chip_run(force_replay: Option<u16>) -> impl Fn(&str) -> u64 {
 }
 
 /// The speculative-descent counters must tell replayed work apart from
-/// memoized folds. A clean pooled run wakes each worker for the initial
-/// descent, after which folds are answered from the memoized trace with
-/// the workers left parked — so memoized shards dominate woken workers
-/// ("a fully memoized fold reports `(0, shards)`"). Arming the
-/// forced-replay bail knob makes every speculation diverge, which must
-/// land re-executed suffix steps in `rime_pool_replay_steps_total`.
+/// memoized folds. A clean `Auto` batch speculates every mat for its
+/// first key, after which each fold re-speculates only the previous
+/// winner's mat and answers the rest from their memoized traces — so
+/// memoized mats dominate re-speculated ones. Arming the forced-replay
+/// bail knob makes every speculation fall short, which must land
+/// re-executed suffix steps in `rime_pool_replay_steps_total`; a clean
+/// run never replays.
 #[test]
 fn pool_replay_and_memoized_descent_counters_split_the_speculative_path() {
-    let clean = pooled_chip_run(None);
-    let woken = clean("rime_pool_descend_woken_workers_total");
+    let clean = memo_chip_run(None);
+    let respeculated = clean("rime_pool_descend_woken_workers_total");
     let memoized = clean("rime_pool_descend_memoized_shards_total");
-    assert!(woken > 0, "initial descents wake parked workers");
-    assert!(memoized > 0, "memoized trace answered no descents");
+    assert!(respeculated > 0, "the first key speculates every mat");
+    assert!(memoized > 0, "memoized traces answered no descents");
     assert!(
-        memoized > woken,
-        "memoized folds must dominate a clean run (memoized {memoized} vs woken {woken})"
+        memoized > respeculated,
+        "memoized mats must dominate a clean run (memoized {memoized} vs respeculated {respeculated})"
+    );
+    assert_eq!(
+        clean("rime_pool_replay_steps_total"),
+        0,
+        "the natural path never replays"
     );
 
-    let forced = pooled_chip_run(Some(1));
+    let forced = memo_chip_run(Some(1));
     assert!(
         forced("rime_pool_replay_steps_total") > 0,
         "forced divergence recorded no replayed suffix steps"
     );
     assert!(
-        forced("rime_pool_descend_woken_workers_total") >= woken,
-        "forced replays cannot wake fewer workers than a clean run"
+        forced("rime_pool_descend_woken_workers_total") > respeculated,
+        "bailed and replayed traces are partial, so they are never reused"
     );
 }
 
@@ -390,8 +326,8 @@ fn attribution_histograms_flush_on_session_drop() {
 
 #[test]
 fn masked_snapshots_are_byte_identical_across_runs() {
-    let (first, _, _) = masked_run(ParallelPolicy::Threads(3));
-    let (second, _, _) = masked_run(ParallelPolicy::Threads(3));
+    let (first, _, _) = masked_run(ParallelPolicy::Auto);
+    let (second, _, _) = masked_run(ParallelPolicy::Auto);
     assert_eq!(
         first, second,
         "identical workloads must export identical masked snapshots"
@@ -405,11 +341,7 @@ fn masked_snapshots_are_byte_identical_across_runs() {
 fn chip_op_metrics_are_policy_independent_and_match_counters() {
     type OpSamples = Vec<(Vec<(String, String)>, u64)>;
     let mut baseline: Option<OpSamples> = None;
-    for policy in [
-        ParallelPolicy::Sequential,
-        ParallelPolicy::Threads(2),
-        ParallelPolicy::Auto,
-    ] {
+    for policy in [ParallelPolicy::Sequential, ParallelPolicy::Auto] {
         let (_, snapshot, counters) = masked_run(policy);
         let ops: OpSamples = snapshot
             .metrics
