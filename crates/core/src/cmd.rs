@@ -378,9 +378,9 @@ impl Executor {
         self.crash_point(); // committed; checkpoint may still be due
         let every = journal.config().checkpoint_every;
         if every > 0 && journal.committed().is_multiple_of(every) {
-            let state = self.checkpoint_bytes();
+            journal.build_checkpoint(|buf| self.checkpoint_into(buf));
             self.crash_point(); // mid-checkpoint: state built, not appended
-            journal.record_checkpoint(&state)?;
+            journal.append_sealed()?;
             self.crash_point(); // checkpoint durable
         }
         result
@@ -1026,7 +1026,7 @@ impl Executor {
     ) -> Result<(), RimeError> {
         let mut guard = lock_recover(&self.journal);
         let mut journal = Journal::new(store, config)?;
-        journal.record_checkpoint(&self.checkpoint_bytes())?;
+        journal.record_checkpoint(|buf| self.checkpoint_into(buf))?;
         *guard = Some(journal);
         Ok(())
     }
@@ -1050,8 +1050,7 @@ impl Executor {
         match guard.as_mut() {
             None => Ok(false),
             Some(journal) => {
-                let state = self.checkpoint_bytes();
-                journal.record_checkpoint(&state)?;
+                journal.record_checkpoint(|buf| self.checkpoint_into(buf))?;
                 Ok(true)
             }
         }
@@ -1085,40 +1084,39 @@ impl Executor {
         regions
     }
 
-    /// Marshals the full executor state into a checkpoint blob:
+    /// Appends the full executor state to `buf` as a checkpoint blob:
     /// configuration fingerprint, telemetry seq + stats, driver
     /// allocator, region/format tables, sessions (with buffered
     /// candidates), and every chip's raw snapshot. All map-backed state
     /// is serialized in sorted key order, so equal devices produce
     /// byte-equal checkpoints.
-    fn checkpoint_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        journal::put_u32(&mut buf, self.chips.len() as u32);
-        journal::put_u64(&mut buf, self.config.chip_slots());
-        journal::put_u64(&mut buf, self.next_id.load(Ordering::SeqCst));
+    fn checkpoint_into(&self, buf: &mut Vec<u8>) {
+        journal::put_u32(buf, self.chips.len() as u32);
+        journal::put_u64(buf, self.config.chip_slots());
+        journal::put_u64(buf, self.next_id.load(Ordering::SeqCst));
         {
             let hub = lock_recover(&self.hub);
-            journal::put_u64(&mut buf, hub.seq);
+            journal::put_u64(buf, hub.seq);
             for counters in hub.stats.per_chip() {
-                journal::put_counters(&mut buf, counters);
+                journal::put_counters(buf, counters);
             }
-            journal::put_u64(&mut buf, hub.stats.interface_transfers());
+            journal::put_u64(buf, hub.stats.interface_transfers());
         }
         {
             let allocator = lock_recover(&self.allocator);
-            journal::put_u64(&mut buf, allocator.total_slots());
-            journal::put_u64(&mut buf, allocator.reserved_slots());
+            journal::put_u64(buf, allocator.total_slots());
+            journal::put_u64(buf, allocator.reserved_slots());
             let free = allocator.free_extents();
-            journal::put_u32(&mut buf, free.len() as u32);
+            journal::put_u32(buf, free.len() as u32);
             for &(start, len) in free {
-                journal::put_u64(&mut buf, start);
-                journal::put_u64(&mut buf, len);
+                journal::put_u64(buf, start);
+                journal::put_u64(buf, len);
             }
             let live = allocator.live_allocations();
-            journal::put_u32(&mut buf, live.len() as u32);
+            journal::put_u32(buf, live.len() as u32);
             for (start, len) in live {
-                journal::put_u64(&mut buf, start);
-                journal::put_u64(&mut buf, len);
+                journal::put_u64(buf, start);
+                journal::put_u64(buf, len);
             }
         }
         {
@@ -1129,58 +1127,57 @@ impl Executor {
                 .map(|(&id, &(start, len))| (id, start, len))
                 .collect();
             regions.sort_unstable();
-            journal::put_u32(&mut buf, regions.len() as u32);
+            journal::put_u32(buf, regions.len() as u32);
             for (id, start, len) in regions {
-                journal::put_u64(&mut buf, id);
-                journal::put_u64(&mut buf, start);
-                journal::put_u64(&mut buf, len);
+                journal::put_u64(buf, id);
+                journal::put_u64(buf, start);
+                journal::put_u64(buf, len);
             }
             let mut formats: Vec<(u64, KeyFormat)> =
                 tables.formats.iter().map(|(&id, &f)| (id, f)).collect();
             formats.sort_unstable_by_key(|&(id, _)| id);
-            journal::put_u32(&mut buf, formats.len() as u32);
+            journal::put_u32(buf, formats.len() as u32);
             for (id, format) in formats {
-                journal::put_u64(&mut buf, id);
-                journal::put_format(&mut buf, format);
+                journal::put_u64(buf, id);
+                journal::put_format(buf, format);
             }
         }
         {
             let sessions = read_recover(&self.sessions);
             let mut ids: Vec<u64> = sessions.keys().copied().collect();
             ids.sort_unstable();
-            journal::put_u32(&mut buf, ids.len() as u32);
+            journal::put_u32(buf, ids.len() as u32);
             for id in ids {
                 let session = lock_recover(&sessions[&id]);
-                journal::put_u64(&mut buf, id);
+                journal::put_u64(buf, id);
                 journal::put_u8(
-                    &mut buf,
+                    buf,
                     match session.direction {
                         None => 0,
                         Some(Direction::Min) => 1,
                         Some(Direction::Max) => 2,
                     },
                 );
-                journal::put_u64(&mut buf, session.begin);
-                journal::put_u64(&mut buf, session.end);
-                journal::put_format(&mut buf, session.format);
+                journal::put_u64(buf, session.begin);
+                journal::put_u64(buf, session.end);
+                journal::put_format(buf, session.format);
                 let mut chips: Vec<u32> = session.queues.keys().copied().collect();
                 chips.sort_unstable();
-                journal::put_u32(&mut buf, chips.len() as u32);
+                journal::put_u32(buf, chips.len() as u32);
                 for chip in chips {
-                    journal::put_u32(&mut buf, chip);
+                    journal::put_u32(buf, chip);
                     let queue = &session.queues[&chip];
-                    journal::put_u32(&mut buf, queue.len() as u32);
+                    journal::put_u32(buf, queue.len() as u32);
                     for &(slot, raw) in queue {
-                        journal::put_u64(&mut buf, slot);
-                        journal::put_u64(&mut buf, raw);
+                        journal::put_u64(buf, slot);
+                        journal::put_u64(buf, raw);
                     }
                 }
             }
         }
         for chip in &self.chips {
-            journal::put_chip_state(&mut buf, &lock_recover(chip).state());
+            journal::put_chip_state(buf, &lock_recover(chip).state());
         }
-        buf
     }
 
     /// Rebuilds an executor from a checkpoint blob, validating the
@@ -2094,5 +2091,114 @@ mod tests {
         assert!(exec.detach_journal());
         assert!(!exec.detach_journal());
         assert_eq!(exec.journal_committed(), None);
+    }
+
+    #[test]
+    fn journal_image_is_pinned_byte_for_byte() {
+        // The journal wire format is a contract with every file already
+        // on disk: this fixed command sequence must journal to exactly
+        // this image (length and CRC-32 taken from the bitwise-CRC,
+        // copy-framed encoder). checkpoint_every = 3 covers the attach,
+        // periodic and forced checkpoint paths; the out-of-bounds read
+        // journals a typed failure.
+        let (exec, store) = journaled_exec(3);
+        let r = region_of(exec.execute(Command::Alloc { len: 6 }).unwrap());
+        exec.execute(Command::Write {
+            region: r,
+            offset: 0,
+            raw: Cow::Borrowed(&[9, 2, 7, 5, 11, 3]),
+            format: KeyFormat::UNSIGNED64,
+        })
+        .unwrap();
+        exec.execute(Command::Init {
+            region: r,
+            offset: 0,
+            len: 6,
+            format: KeyFormat::UNSIGNED64,
+        })
+        .unwrap();
+        assert_eq!(
+            exec.execute(Command::Extract {
+                region: r,
+                format: KeyFormat::UNSIGNED64,
+                direction: Direction::Min,
+            })
+            .unwrap(),
+            Outcome::Hit(Some((1, 2)))
+        );
+        assert_eq!(
+            exec.execute(Command::ExtractBatch {
+                region: r,
+                format: KeyFormat::UNSIGNED64,
+                direction: Direction::Min,
+                k: 2,
+            })
+            .unwrap(),
+            Outcome::Hits(vec![(5, 3), (3, 5)])
+        );
+        assert_eq!(
+            exec.execute(Command::Read {
+                region: r,
+                offset: 4,
+                n: 9,
+            }),
+            Err(RimeError::OutOfBounds { offset: 13, len: 6 })
+        );
+        assert!(exec.checkpoint_now().unwrap());
+        let image = store.snapshot();
+        assert_eq!((image.len(), journal::crc32(&image)), (57_505, 0xC81D_BDF1));
+    }
+
+    #[cfg(feature = "crash-test")]
+    #[test]
+    fn a_crash_mid_checkpoint_appends_nothing_and_recovers_bit_identically() {
+        use crate::journal::{CrashPoint, CrashSignal};
+        // checkpoint_every = 4: `run_workload`'s fourth and last command
+        // commits and then checkpoints, so the mid-checkpoint site is the
+        // workload's second to last; only "checkpoint durable" follows.
+        let (exec, store) = journaled_exec(4);
+        let counting = CrashPoint::counting();
+        exec.install_crash_point(Some(counting.clone()));
+        run_workload(&exec);
+        let want = fingerprint(&exec);
+        let full = store.snapshot();
+        let scanned = journal::scan(&full).unwrap();
+        let (checkpoint_at, record) = scanned.records.last().unwrap();
+        assert!(matches!(
+            record,
+            JournalRecord::Checkpoint { committed: 4, .. }
+        ));
+        let mid_checkpoint = counting.hits() - 2;
+        drop(exec);
+
+        // The same run, killed at the mid-checkpoint site.
+        let (exec, store) = journaled_exec(4);
+        let armed = CrashPoint::armed(mid_checkpoint);
+        exec.install_crash_point(Some(armed.clone()));
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_workload(&exec);
+        }))
+        .expect_err("the armed site crashes");
+        assert!(payload.downcast_ref::<CrashSignal>().is_some());
+        assert!(armed.fired());
+        drop(exec);
+
+        // The checkpoint was built but not one byte of it reached the
+        // store: the image is the uncrashed one cut before its checkpoint.
+        let crashed = store.snapshot();
+        assert_eq!(crashed.len() as u64, *checkpoint_at);
+        assert_eq!(crashed[..], full[..crashed.len()]);
+        let (rec, report) = Executor::recover(
+            RimeConfig::small(),
+            Box::new(store),
+            JournalConfig {
+                checkpoint_every: 4,
+            },
+        )
+        .unwrap();
+        assert_eq!(report.committed, 4);
+        assert_eq!(report.interrupted, None);
+        assert!(!report.torn_tail);
+        assert_eq!(fingerprint(&rec), want, "recovery is bit-identical");
     }
 }

@@ -838,4 +838,15 @@ mod tests {
             JournalError::Decode { .. }
         ));
     }
+
+    #[test]
+    fn trace_image_is_pinned_byte_for_byte() {
+        // Length and CRC-32 of the exemplar's `RIMETRC1` image, taken from
+        // the bitwise-CRC encoder: the format must not drift.
+        let bytes = encode_trace(&exemplar_trace());
+        assert_eq!(
+            (bytes.len(), crate::journal::crc32(&bytes)),
+            (161, 0x2144_DF1C)
+        );
+    }
 }

@@ -49,6 +49,21 @@ impl Bitmap {
         bm
     }
 
+    /// Rebuilds a bitmap of `len` bits from its backing words, the
+    /// inverse of [`Bitmap::words`]. `None` unless `words` holds exactly
+    /// `ceil(len / 64)` words with no bit set at or beyond `len`, so the
+    /// zero-tail invariant holds for every bitmap this returns.
+    pub fn from_words(len: usize, words: Vec<u64>) -> Option<Self> {
+        if words.len() != len.div_ceil(64) {
+            return None;
+        }
+        let rem = len % 64;
+        if rem != 0 && words.last().is_some_and(|&last| last >> rem != 0) {
+            return None;
+        }
+        Some(Bitmap { len, words })
+    }
+
     fn mask_tail(&mut self) {
         let rem = self.len % 64;
         if rem != 0 {
@@ -531,6 +546,19 @@ impl Iterator for IterOnes<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn from_words_inverts_words_and_refuses_bad_shapes() {
+        let mut bm = Bitmap::zeros(70);
+        bm.set(0, true);
+        bm.set(69, true);
+        assert_eq!(Bitmap::from_words(70, bm.words().to_vec()), Some(bm));
+        assert_eq!(Bitmap::from_words(0, Vec::new()), Some(Bitmap::zeros(0)));
+        assert_eq!(Bitmap::from_words(70, vec![0]), None, "too few words");
+        assert_eq!(Bitmap::from_words(64, vec![0, 0]), None, "too many words");
+        assert_eq!(Bitmap::from_words(70, vec![0, 1 << 6]), None, "tail bit");
+        assert!(Bitmap::from_words(64, vec![u64::MAX]).is_some());
+    }
 
     #[test]
     fn zeros_and_ones() {
